@@ -3,11 +3,11 @@ multiple-shooting SQP optimal control solver."""
 
 from .bench import (RunConfig, RunStats, run_low_tol_experiment, run_single,
                     run_sweep)
-from .integrator import (NewtonSettings, NewtonStrategy, StepRecord,
-                         WorkCounters, esdirk_step, integrate_interval,
+from .integrator import (NewtonSettings, NewtonStrategy, WorkCounters,
+                         esdirk_step, integrate_interval,
                          integrate_intervals_batch)
 from .model import LinearTestModel, QtsParameters, QuadrupleTank
-from .nlp import DecisionVector, OcpProblem, evaluate, setpoint_profile
+from .nlp import DecisionVector, OcpProblem, evaluate
 from .qp import QpProblem, solve_qp
 from .sensitivity import SensitivityMode, SensitivityPair
 from .sqp import SqpResult, SqpSettings, solve_ocp
@@ -17,9 +17,9 @@ __all__ = [
     "ButcherTableau", "DecisionVector", "LinearTestModel", "NewtonSettings",
     "NewtonStrategy", "OcpProblem", "QpProblem", "QtsParameters",
     "QuadrupleTank", "RunConfig", "RunStats", "SensitivityMode",
-    "SensitivityPair", "SqpResult", "SqpSettings", "StepRecord",
-    "WorkCounters", "esdirk_step", "evaluate", "integrate_interval",
+    "SensitivityPair", "SqpResult", "SqpSettings", "WorkCounters",
+    "esdirk_step", "evaluate", "integrate_interval",
     "integrate_intervals_batch", "make_tableau", "run_low_tol_experiment",
-    "run_single", "run_sweep", "setpoint_profile", "solve_ocp", "solve_qp",
+    "run_single", "run_sweep", "solve_ocp", "solve_qp",
     "verify_order_conditions",
 ]

@@ -7,6 +7,7 @@ combination; non-converged runs are recorded as rows, never raised.
 """
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrator import NewtonSettings, NewtonStrategy
+from .model import QuadrupleTank
 from .nlp import DecisionVector, OcpProblem
 from .sensitivity import SensitivityMode
 from .sqp import SqpSettings, solve_ocp
@@ -78,15 +80,31 @@ class RunConfig:
         if self.sens not in SENS_MODES:
             raise ConfigError(f"sens: {self.sens!r} is not one of "
                               f"{'/'.join(SENS_MODES)}")
-        if self.N < 1:
-            raise ConfigError(f"N: must be >= 1, got {self.N}")
-        if self.Ts <= 0:
-            raise ConfigError(f"Ts: must be positive, got {self.Ts}")
-        if self.Nc < 1:
-            raise ConfigError(f"Nc: must be >= 1, got {self.Nc}")
-        for name in ("tol_sqp", "tol_qp", "tol_step", "abs", "rel", "tau"):
+        for name in ("N", "Nc", "max_sqp_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name}: must be an integer >= 1, "
+                                  f"got {value!r}")
+        positive = ("Ts", "tol_sqp", "tol_qp", "tol_step", "abs", "rel",
+                    "tau")
+        for name in positive + ("init_value",):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ConfigError(f"{name}: expected a finite number, "
+                                  f"got {value!r}")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
+        if self.tau > 1:
+            raise ConfigError(f"tau: must not exceed 1, got {self.tau}")
+        m = QuadrupleTank
+        for name, n in (("x0", m.n_x), ("d", m.n_d), ("qz", m.n_z),
+                        ("qdu", m.n_u), ("u_min", m.n_u), ("u_max", m.n_u),
+                        ("u_prev", m.n_u), ("setpoint_first", m.n_z),
+                        ("setpoint_second", m.n_z)):
+            if np.shape(getattr(self, name)) != (n,):
+                raise ConfigError(f"{name}: expected {n} values, "
+                                  f"got {getattr(self, name)!r}")
         if np.any(self.u_min > self.u_max):
             raise ConfigError("u_min: exceeds u_max")
         return self
@@ -140,7 +158,7 @@ def make_problem(config):
     """Build the OcpProblem for a validated RunConfig."""
     config.validate()
     return OcpProblem(
-        model=_make_model(config),
+        model=QuadrupleTank(),
         x0=np.asarray(config.x0, float),
         Ts=config.Ts, Nc=config.Nc, N=config.N,
         Qz=np.diag(np.asarray(config.qz, float)),
@@ -156,11 +174,6 @@ def make_problem(config):
         mode=config.mode,
         newton=NewtonSettings(tau=config.tau, abs=config.abs,
                               rel=config.rel))
-
-
-def _make_model(config):
-    from .model import QuadrupleTank
-    return QuadrupleTank()
 
 
 def sqp_settings(config):
@@ -233,12 +246,20 @@ def run_sweep(base_config, n_list=SWEEP_N, out_dir=None, jobs=1,
         p.validate()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stats = list(pool.map(_run_point, [(p, out_dir) for p in points]))
-    else:
-        stats = [run_single(p, out_dir) for p in points]
-    if row_sink is not None:
-        for s in stats:
+            return _collect(pool.map(_run_point,
+                                     [(p, out_dir) for p in points]),
+                            row_sink)
+    return _collect((run_single(p, out_dir) for p in points), row_sink)
+
+
+def _collect(rows, row_sink):
+    """List the rows of a lazy, ordered iterable, passing each to row_sink
+    as soon as it is produced."""
+    stats = []
+    for s in rows:
+        if row_sink is not None:
             row_sink(s)
+        stats.append(s)
     return stats
 
 

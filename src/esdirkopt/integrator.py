@@ -1,20 +1,24 @@
 """Fixed-step ESDIRK integration with inexact Newton stage solves.
 
 Each step solves the implicit stage equations R_i(X_i) = X_i - h*gamma*
-f(X_i, u) - psi_i = 0 with an inexact Newton method. Two iteration matrix
-strategies are supported: one factorization of M_k = I - h*gamma*df/dx(x_k)
-per step, or a fresh Jacobian and factorization at every Newton iterate
-(the benchmark base case). Work counters track every model evaluation and
-factorization exactly.
+f(X_i, u) - psi_i = 0 with an inexact Newton method. The integrator runs
+a batch of independent intervals in lockstep, one row per interval: every
+Newton round evaluates the model once for all rows still iterating, and a
+single interval is the batch of one row. Two iteration matrix strategies
+are supported: one factorization of M_k = I - h*gamma*df/dx(x_k) per
+step, or a fresh Jacobian and factorization at every Newton iterate (the
+benchmark base case). Work counters track every model evaluation and
+factorization exactly, row by row.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation, NewtonDivergence
+from .errors import (ContractViolation, DomainError, NewtonDivergence,
+                     SingularMatrix)
 from .sensitivity import (SensitivityMode, SensitivityPair, direct_propagate,
                           iterated_propagate)
 from .tableau import predict_stages, svp_coefficients
@@ -65,61 +69,6 @@ class WorkCounters:
                 "newton_iterations": self.newton_iterations}
 
 
-@dataclass
-class StepRecord:
-    """Everything one ESDIRK step produced.
-
-    ``stages`` holds the converged implicit stages (the last one is
-    x_next). The iterate history and per-iterate Jacobians are kept when
-    the iterated sensitivity mode requested them. ``stage_jac_x[0]`` /
-    ``stage_jac_u[0]`` belong to the explicit first stage x_k.
-    """
-    x_start: np.ndarray = None
-    x_next: np.ndarray = None
-    stages: list = field(default_factory=list)
-    newton_counts: list = field(default_factory=list)
-    iterate_history: list = None
-    iterate_jac_x: list = None
-    iterate_jac_u: list = None
-    stage_jac_x: list = field(default_factory=list)
-    stage_jac_u: list = field(default_factory=list)
-    embedded_error: np.ndarray = None
-    factors: linalg.LuFactors = None
-    sens_in: SensitivityPair = None
-    sens_next: SensitivityPair = None
-    stage_sens: list = None          # converged per-stage SensitivityPair
-    stage_sens_packed: list = None   # same, packed, for the next step's SVP
-    stage_sens_init: list = None     # packed SVP-differentiated initial guesses
-
-
-def residual(stage_value, psi_value, u, d, h, gamma, model, t=0.0,
-             counters=None):
-    """Stage residual R_i = X_i - h*gamma*f(X_i, u) - psi_i."""
-    if counters is not None:
-        counters.f_evals += 1
-    return stage_value - h * gamma * model.f(t, stage_value, u, d) - psi_value
-
-
-def psi(stage_f_values, x_k, h, tab, i):
-    """psi_i = x_k + h*sum_{j<i} a_ij f(X_j) from cached stage f values.
-
-    ``i`` is the 1-based stage index (2..s); stage_f_values holds the
-    converged f values of stages 1..i-1.
-    """
-    if not 2 <= i <= tab.s:
-        raise ContractViolation(f"stage index {i} out of range")
-    acc = np.asarray(x_k, float).copy()
-    for j in range(i - 1):
-        acc += h * tab.a[i - 1, j] * stage_f_values[j]
-    return acc
-
-
-def scaled_residual_norm(r, x_iterate, abs_tol, rel_tol):
-    """max_j |r_j| / max(abs, rel*|x_j|); converged when < tau."""
-    denom = np.maximum(abs_tol, rel_tol * np.abs(x_iterate))
-    return float(np.max(np.abs(r) / denom))
-
-
 def _check_mode_strategy(mode, strategy):
     if mode is SensitivityMode.BASE_DIRECT:
         if strategy is not NewtonStrategy.REFACTORIZE_EVERY_ITERATION:
@@ -129,182 +78,17 @@ def _check_mode_strategy(mode, strategy):
             raise ContractViolation(f"{mode.value} pairs with the reuse-per-step strategy")
 
 
-def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d,
-                t_k, h, warm_start, counters, svp=None):
-    """One ESDIRK step from x_k with sensitivity propagation.
-
-    ``warm_start`` is the previous StepRecord (stage value predictors) or
-    None (trivial predictor X_i^0 = x_k). Returns the new StepRecord with
-    x_next, the embedded error, and the propagated sensitivities.
-    """
-    _check_mode_strategy(mode, strategy)
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    s = tab.s
-    gamma = tab.gamma
-    hg = h * gamma
-    n_x = model.n_x
-    eye = np.eye(n_x)
-    x_k = np.asarray(x_k, float)
-    iterated = mode is SensitivityMode.ITERATED
-    with_sens = mode is not SensitivityMode.NONE
-
-    rec = StepRecord(x_start=x_k, sens_in=sens_k)
-
-    # Jacobian at the step start: iteration matrix for the reuse strategy,
-    # explicit-stage Jacobian for the refactorizing base case.
-    jx_k = model.dfdx(t_k, x_k, u, d)
-    counters.jac_x_evals += 1
-    rec.stage_jac_x = [jx_k] + [None] * (s - 1)
-    rec.stage_jac_u = [None] * s
-    if with_sens:
-        rec.stage_jac_u[0] = model.dfdu(t_k, x_k, u, d)
-        counters.jac_u_evals += 1
-
-    reuse = strategy is NewtonStrategy.REUSE_PER_STEP
-    if reuse:
-        rec.factors = linalg.lu_factorize(eye - hg * jx_k)
-        counters.lu_factorizations += 1
-    factors = rec.factors
-
-    # predictors for all implicit stages
-    if warm_start is not None:
-        if svp is None:
-            svp = svp_coefficients(tab, 1.0)
-        predictions = predict_stages(svp, warm_start_prev_state(warm_start),
-                                     warm_start.stages)
-        if iterated:
-            prev_in = warm_start.sens_in.packed()
-            rec.stage_sens_init = [
-                svp.alpha[i] * prev_in
-                + sum(svp.beta[i, j] * warm_start.stage_sens_packed[j]
-                      for j in range(s - 1))
-                for i in range(s - 1)]
-    else:
-        predictions = [x_k.copy() for _ in range(s - 1)]
-        if iterated:
-            rec.stage_sens_init = [sens_k.packed() for _ in range(s - 1)]
-
-    if iterated:
-        rec.iterate_history = []
-        rec.iterate_jac_x = []
-        rec.iterate_jac_u = []
-
-    f_vals = [model.f(t_k, x_k, u, d)]
-    counters.f_evals += 1
-
-    for idx in range(s - 1):
-        i = idx + 2                      # 1-based stage index
-        t_i = t_k + tab.c[i - 1] * h
-        psi_i = psi(f_vals, x_k, h, tab, i)
-        x_it = predictions[idx]
-        iterates = [x_it]
-        jxs, jus = [], []
-        l = 0
-        while True:
-            f_it = model.f(t_i, x_it, u, d)
-            counters.f_evals += 1
-            r = x_it - hg * f_it - psi_i
-            if l >= settings.min_iterations and \
-                    scaled_residual_norm(r, x_it, settings.abs, settings.rel) \
-                    < settings.tau:
-                break
-            if l >= settings.max_iterations:
-                raise NewtonDivergence(
-                    f"stage {i} at t={t_k:.6g}: no convergence in "
-                    f"{settings.max_iterations} iterations")
-            if not reuse:
-                jx_it = model.dfdx(t_i, x_it, u, d)
-                counters.jac_x_evals += 1
-                factors = linalg.lu_factorize(eye - hg * jx_it)
-                counters.lu_factorizations += 1
-                jxs.append(jx_it)
-            elif iterated:
-                jxs.append(model.dfdx(t_i, x_it, u, d))
-                counters.jac_x_evals += 1
-                jus.append(model.dfdu(t_i, x_it, u, d))
-                counters.jac_u_evals += 1
-            x_it = x_it - linalg.lu_solve(factors, r)
-            counters.newton_iterations += 1
-            iterates.append(x_it)
-            l += 1
-
-        rec.stages.append(x_it)
-        rec.newton_counts.append(l)
-        f_vals.append(f_it)
-        if not reuse:
-            # one Jacobian update per stage beyond the per-iteration ones:
-            # the refactorizing strategy cannot share the step-start Jacobian
-            # with its predictor-based iteration matrices, so each stage ends
-            # with an evaluation at the converged value
-            jxs.append(model.dfdx(t_i, x_it, u, d))
-            counters.jac_x_evals += 1
-        # converged-stage Jacobians: the last evaluation of the stage
-        if jxs:
-            rec.stage_jac_x[i - 1] = jxs[-1]
-        if iterated:
-            rec.iterate_history.append(iterates)
-            rec.iterate_jac_x.append(jxs)
-            rec.iterate_jac_u.append(jus)
-            rec.stage_jac_u[i - 1] = jus[-1] if jus else rec.stage_jac_u[0]
-
-    rec.x_next = rec.stages[-1]
-    x_hat = x_k + h * sum(tab.b_hat[i] * f_vals[i] for i in range(s))
-    rec.embedded_error = rec.x_next - x_hat
-
-    if with_sens:
-        if mode in (SensitivityMode.DIRECT, SensitivityMode.BASE_DIRECT):
-            _fill_converged_jacobians(rec, model, tab, u, d, t_k, h, mode,
-                                      counters)
-            pairs, sens_next = direct_propagate(rec, model, tab, h, mode,
-                                                counters)
-        else:
-            pairs, sens_next = iterated_propagate(rec, model, tab, h,
-                                                  counters)
-        rec.stage_sens = pairs
-        rec.stage_sens_packed = [p.packed() for p in pairs]
-        rec.sens_next = sens_next
-    return rec
-
-
-def _fill_converged_jacobians(rec, model, tab, u, d, t_k, h, mode, counters):
-    """Evaluate the converged-stage Jacobians the direct formulas need.
-
-    DIRECT needs df/dx at converged stages 2..s-1 (fresh evaluations) and
-    df/du at every stage; BASE_DIRECT reuses the state pass's last Newton
-    Jacobians for df/dx and evaluates df/du fresh.
-    """
-    s = tab.s
-    for i in range(1, s):
-        t_i = t_k + tab.c[i] * h
-        stage = rec.stages[i - 1]
-        if rec.stage_jac_u[i] is None:
-            rec.stage_jac_u[i] = model.dfdu(t_i, stage, u, d)
-            counters.jac_u_evals += 1
-        if rec.stage_jac_x[i] is None:
-            need = (i < s - 1) or mode is SensitivityMode.BASE_DIRECT
-            if need:
-                rec.stage_jac_x[i] = model.dfdx(t_i, stage, u, d)
-                counters.jac_x_evals += 1
-
-
-def warm_start_prev_state(prev):
-    """State the previous step started from (node 0 of the predictor)."""
-    return prev.x_start
-
-
 @dataclass
 class IntervalResult:
+    """integrate_interval's result; ``sens`` is None without sensitivities."""
     x_final: np.ndarray
     sens: SensitivityPair
     trajectory: np.ndarray
-    step_sens: list            # SensitivityPair after each step (len n_steps)
-    records: list
 
 
 @dataclass
 class BatchIntervalResult:
-    """integrate_interval over a batch of independent intervals.
+    """integrate_intervals_batch's result.
 
     ``step_sens`` holds the packed [d/dx0 | d/du] sensitivity after each
     step, one (B, n_x, n_x + n_u) array per step.
@@ -320,13 +104,14 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
                               d, dt, n_steps, counters):
     """Integrate a batch of intervals of equal length dt in lockstep.
 
-    Row b advances from x_0[b] under the constant input u[b]; the rows are
-    independent, so this computes exactly what a loop of integrate_interval
-    calls would (same iterates, same convergence decisions, same counter
-    totals on success), but every Newton round evaluates the model once
-    for all still-iterating rows. Requires a model with supports_batch
-    (autonomous f) and min_iterations >= 1; raises on the first row that
-    diverges or leaves the model domain.
+    Row b advances from x_0[b] under the constant input u[b] with n_steps
+    fixed ESDIRK steps. Sensitivities start at (I, 0) and are chained
+    through the steps; stage value predictors warm-start every step after
+    the first. The rows are independent: each makes the Newton iterations,
+    and adds to the counters the work, that it would make alone. Requires an
+    autonomous model (see ``model.OdeModel``) and min_iterations >= 1;
+    raises on the first row that diverges, leaves the model domain or
+    meets a singular iteration matrix.
     """
     _check_mode_strategy(mode, strategy)
     if n_steps < 1:
@@ -334,9 +119,7 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
     if dt <= 0:
         raise ValueError("interval length must be positive")
     if settings.min_iterations < 1:
-        raise ContractViolation("batched path requires min_iterations >= 1")
-    if not getattr(model, "supports_batch", False):
-        raise ContractViolation("model does not support batched evaluation")
+        raise ContractViolation("the integrator requires min_iterations >= 1")
     x = np.asarray(x_0, float).copy()
     u = np.asarray(u, float)
     nb = x.shape[0]
@@ -352,8 +135,8 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
     step_sens = []
     prev = None
     for k in range(n_steps):
-        prev = _esdirk_step_batch(model, tab, strategy, settings, mode,
-                                  x, sens, u, d, h, prev, counters, svp)
+        prev = esdirk_step(model, tab, strategy, settings, mode,
+                           x, sens, u, d, h, prev, counters, svp)
         x = prev["x_next"]
         if with_sens:
             sens = prev["sens_next"]
@@ -366,27 +149,43 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
         trajectory=traj, step_sens=step_sens)
 
 
+def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
+                       t_0, t_f, n_steps, counters):
+    """Integrate one interval [t_0, t_f]: integrate_intervals_batch with a
+    batch of one row. The models are autonomous, so only t_f - t_0 matters.
+    """
+    res = integrate_intervals_batch(
+        model, tab, strategy, settings, mode, np.asarray(x_0, float)[None],
+        np.asarray(u, float)[None], d, t_f - t_0, n_steps, counters)
+    sens = None
+    if res.sens_wrt_x0 is not None:
+        sens = SensitivityPair(res.sens_wrt_x0[0], res.sens_wrt_u[0])
+    return IntervalResult(x_final=res.x_final[0], sens=sens,
+                          trajectory=res.trajectory[0])
+
+
 def _remap_batch_row(exc, rows):
     """Translate a subset-local batch_row back to the full-batch row."""
-    if hasattr(exc, "batch_row"):
-        exc.batch_row = int(rows[exc.batch_row])
+    exc.batch_row = int(rows[exc.batch_row])
     return exc
 
 
-def _psi_derivative_batch(p, stage_jx, stage_ju, stage_sens, i, h, a, n_x):
-    """Batched packed [dpsi_i/dx0 | dpsi_i/du] from converged-stage data."""
-    out = p.copy()
-    for j in range(i):
-        sj = p if j == 0 else stage_sens[j - 1]
-        contrib = stage_jx[j] @ sj
-        contrib[:, :, n_x:] += stage_ju[j]
-        out += h * a[i, j] * contrib
-    return out
+def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
+                prev, counters, svp):
+    """One ESDIRK step of size h from the (B, n_x) states x_k.
 
+    ``sens_k`` holds the packed sensitivities at x_k, one (n_x, n_x + n_u)
+    matrix per row, and u the (B, n_u) inputs. ``prev`` is the previous
+    step's record, whose stages the stage value predictors ``svp`` extend,
+    or None for the trivial predictor X_i^0 = x_k. A row leaves the Newton
+    loop of a stage as soon as its scaled residual is below tau.
 
-def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
-                       u, d, h, prev, counters, svp):
-    """One ESDIRK step over the batch; mirrors esdirk_step row for row."""
+    Returns the step record, a dict holding ``x_next``, the converged
+    ``stages``, the (B, s-1) Newton iteration counts ``newton_counts`` and,
+    with sensitivities, ``sens_next`` and the per-stage ``stage_sens``.
+    Raises DomainError, NewtonDivergence or SingularMatrix with the failing
+    row in ``batch_row``.
+    """
     s = tab.s
     hg = h * tab.gamma
     nb = x_k.shape[0]
@@ -394,15 +193,10 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
     eye = np.eye(n_x)
     iterated = mode is SensitivityMode.ITERATED
     with_sens = mode is not SensitivityMode.NONE
-    base = mode is SensitivityMode.BASE_DIRECT
     reuse = strategy is NewtonStrategy.REUSE_PER_STEP
-
-    def broad_ju(ju):
-        return np.broadcast_to(ju, (nb, n_x, n_u)) if ju.ndim == 2 else ju
 
     jx_k, ju_k = model.jacobians_batch(x_k)
     counters.jac_x_evals += nb
-    ju_k = broad_ju(ju_k)
     stage_jx = [jx_k] + [None] * (s - 1)
     stage_ju = [None] * s
     if with_sens:
@@ -415,18 +209,12 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
         counters.lu_factorizations += nb
 
     # stage predictors (and their derivatives for the iterated replay)
+    sens_init = None
     if prev is not None:
-        stages_prev = np.stack(prev["stages"])          # (s-1, B, n_x)
-        predictions = [svp.alpha[i] * prev["x_start"]
-                       + np.einsum("j,jbn->bn", svp.beta[i], stages_prev)
-                       for i in range(s - 1)]
+        predictions = predict_stages(svp, prev["x_start"], prev["stages"])
         if iterated:
-            sens_init = []
-            for i in range(s - 1):
-                acc = svp.alpha[i] * prev["sens_in"]
-                for j in range(s - 1):
-                    acc = acc + svp.beta[i, j] * prev["stage_sens_packed"][j]
-                sens_init.append(acc)
+            sens_init = predict_stages(svp, prev["sens_in"],
+                                       prev["stage_sens"])
     else:
         predictions = [x_k.copy() for _ in range(s - 1)]
         if iterated:
@@ -437,8 +225,7 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
 
     stages = []
     stage_counts = []
-    stage_jx_rounds = []
-    stage_ju_rounds = []
+    newton_rounds = []
     for idx in range(s - 1):
         i = idx + 2                      # 1-based stage index
         psi_i = x_k.copy()
@@ -448,13 +235,16 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
         f_conv = np.empty_like(x_k)
         counts = np.zeros(nb, dtype=int)
         active = np.arange(nb)
-        jx_rounds, ju_rounds = [], []
+        rounds = []                      # iterated: (rows, df/dx, df/du)
+        if iterated:
+            jx_conv = np.empty((nb, n_x, n_x))
+            ju_conv = np.empty((nb, n_x, n_u))
         l = 0
         while active.size:
             xa = x_it[active]
             try:
                 fa = model.f_batch(xa, u[active], d)
-            except Exception as exc:
+            except DomainError as exc:
                 raise _remap_batch_row(exc, active)
             counters.f_evals += active.size
             r = xa - hg * fa - psi_i[active]
@@ -469,34 +259,28 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
             if not np.any(cont):
                 break
             if l >= settings.max_iterations:
+                row = int(active[cont][0])
                 exc = NewtonDivergence(
-                    f"stage {i}, batch row {int(active[cont][0])}: no "
-                    f"convergence in {settings.max_iterations} iterations")
-                exc.batch_row = int(active[cont][0])
+                    f"stage {i}, batch row {row}: no convergence in "
+                    f"{settings.max_iterations} iterations")
+                exc.batch_row = row
                 raise exc
             upd = active[cont]
-            if not reuse:
+            if iterated or not reuse:
                 try:
-                    jx_it, _ = model.jacobians_batch(x_it[upd])
-                except Exception as exc:
-                    raise _remap_batch_row(exc, upd)
-                counters.jac_x_evals += upd.size
-                fac = linalg.lu_factorize_batch(eye - hg * jx_it)
-                counters.lu_factorizations += upd.size
-            else:
-                if iterated:
-                    try:
-                        jx_it, ju_it = model.jacobians_batch(x_it[upd])
-                    except Exception as exc:
-                        raise _remap_batch_row(exc, upd)
+                    jx_it, ju_it = model.jacobians_batch(x_it[upd])
                     counters.jac_x_evals += upd.size
+                    if not reuse:
+                        fac = linalg.lu_factorize_batch(eye - hg * jx_it)
+                        counters.lu_factorizations += upd.size
+                except (DomainError, SingularMatrix) as exc:
+                    raise _remap_batch_row(exc, upd)
+                if iterated:
                     counters.jac_u_evals += upd.size
-                    jx_round = np.zeros((nb, n_x, n_x))
-                    jx_round[upd] = jx_it
-                    ju_round = np.zeros((nb, n_x, n_u))
-                    ju_round[upd] = ju_it   # (n_x, n_u) broadcasts over rows
-                    jx_rounds.append(jx_round)
-                    ju_rounds.append(ju_round)
+                    rounds.append((upd, jx_it, ju_it))
+                    jx_conv[upd] = jx_it
+                    ju_conv[upd] = ju_it
+            if reuse:
                 fac = factors.rows(upd)
             x_it[upd] = x_it[upd] - linalg.lu_solve_batch(fac, r[cont])
             counters.newton_iterations += upd.size
@@ -509,95 +293,27 @@ def _esdirk_step_batch(model, tab, strategy, settings, mode, x_k, sens_k,
         stage_counts.append(counts)
         if not reuse:
             # one per-stage Jacobian update at the converged value beyond
-            # the per-iteration ones, mirroring esdirk_step
-            jx_conv, _ = model.jacobians_batch(x_it)
+            # the per-iteration ones: the refactorizing strategy cannot
+            # share the step-start Jacobian with its predictor-based
+            # iteration matrices
+            stage_jx[i - 1], _ = model.jacobians_batch(x_it)
             counters.jac_x_evals += nb
-            stage_jx[i - 1] = jx_conv
         if iterated:
-            stage_jx_rounds.append(jx_rounds)
-            stage_ju_rounds.append(ju_rounds)
-            rows = np.arange(nb)
-            stage_jx[i - 1] = np.stack(jx_rounds)[counts - 1, rows]
-            stage_ju[i - 1] = np.stack(ju_rounds)[counts - 1, rows]
+            # converged-stage Jacobians: each row's last Newton round
+            stage_jx[i - 1] = jx_conv
+            stage_ju[i - 1] = ju_conv
+            newton_rounds.append(rounds)
 
     rec = {"x_start": x_k, "x_next": stages[-1], "stages": stages,
-           "sens_in": sens_k, "sens_next": None, "stage_sens_packed": None}
-    if not with_sens:
-        return rec
-
-    a = tab.a
-    stage_sens = []
-    if iterated:
-        for idx in range(s - 1):
-            dpsi = _psi_derivative_batch(sens_k, stage_jx, stage_ju,
-                                         stage_sens, idx + 1, h, a, n_x)
-            s_cur = sens_init[idx].copy()
-            counts = stage_counts[idx]
-            for l in range(len(stage_jx_rounds[idx])):
-                m = np.where(counts > l)[0]
-                if m.size == 0:
-                    break
-                sm = s_cur[m]
-                dres = sm - hg * (stage_jx_rounds[idx][l][m] @ sm) - dpsi[m]
-                dres[:, :, n_x:] -= hg * stage_ju_rounds[idx][l][m]
-                s_cur[m] = sm - linalg.lu_solve_batch(factors.rows(m), dres)
-            stage_sens.append(s_cur)
-    else:
-        # converged-stage Jacobians the direct formulas still need
-        for i in range(1, s):
-            jx_i, ju_i = model.jacobians_batch(stages[i - 1])
-            counters.jac_u_evals += nb
-            stage_ju[i] = broad_ju(ju_i)
-            if stage_jx[i] is None and i < s - 1:
-                counters.jac_x_evals += nb
-                stage_jx[i] = jx_i
-        for idx in range(s - 1):
-            i = idx + 1
-            rhs = _psi_derivative_batch(sens_k, stage_jx, stage_ju,
-                                        stage_sens, i, h, a, n_x)
-            rhs[:, :, n_x:] += hg * stage_ju[i]
-            if base:
-                fac = linalg.lu_factorize_batch(eye - hg * stage_jx[i])
-                counters.lu_factorizations += nb
-            else:
-                fac = factors
-            stage_sens.append(linalg.lu_solve_batch(fac, rhs))
-
-    rec["sens_next"] = stage_sens[-1]
-    rec["stage_sens_packed"] = stage_sens
+           "newton_counts": np.stack(stage_counts, axis=1),
+           "sens_in": sens_k, "stage_jx": stage_jx, "stage_ju": stage_ju,
+           "factors": factors, "sens_init": sens_init,
+           "newton_rounds": newton_rounds}
+    if with_sens:
+        if iterated:
+            stage_sens = iterated_propagate(rec, tab, h)
+        else:
+            stage_sens = direct_propagate(rec, model, tab, h, mode, counters)
+        rec["stage_sens"] = stage_sens
+        rec["sens_next"] = stage_sens[-1]
     return rec
-
-
-def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
-                       t_0, t_f, n_steps, counters, keep_records=False):
-    """Integrate over [t_0, t_f] with n_steps fixed ESDIRK steps.
-
-    Sensitivities start at (I, 0) and are chained through the steps; stage
-    value predictors warm-start every step after the first.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if t_f <= t_0:
-        raise ValueError("t_f must exceed t_0")
-    h = (t_f - t_0) / n_steps
-    svp = svp_coefficients(tab, 1.0) if n_steps > 1 else None
-    x = np.asarray(x_0, float)
-    sens = SensitivityPair.initial(model.n_x, model.n_u)
-    traj = np.empty((n_steps + 1, model.n_x))
-    traj[0] = x
-    step_sens = []
-    records = []
-    prev = None
-    for k in range(n_steps):
-        rec = esdirk_step(model, tab, strategy, settings, mode, x, sens,
-                          u, d, t_0 + k * h, h, prev, counters, svp=svp)
-        x = rec.x_next
-        if mode is not SensitivityMode.NONE:
-            sens = rec.sens_next
-            step_sens.append(sens)
-        traj[k + 1] = x
-        if keep_records:
-            records.append(rec)
-        prev = rec
-    return IntervalResult(x_final=x, sens=sens, trajectory=traj,
-                          step_sens=step_sens, records=records)

@@ -1,141 +1,72 @@
-"""Minimal dense linear algebra for the stage iteration matrices.
+"""Dense linear algebra for the stage iteration matrices.
 
-The systems here are tiny (the iteration matrix of the quadruple tank is
-4x4), so a plain partial-pivoting LU with explicit loops is fast enough and
-keeps the factorization count and singularity behavior fully deterministic.
+The iteration matrices are tiny (4x4 for the quadruple tank) and come in
+stacks, one matrix per shooting interval. A stack is factorized by one
+stacked LAPACK inversion (``np.linalg.inv``, LU with partial pivoting
+under the hood), and every solve with it is one batched matrix product.
+For such small matrices this is far cheaper than any per-matrix or
+per-column loop in Python, and it is deterministic: each matrix of a
+stack gets the same result as it would on its own.
 """
 
 import numpy as np
 
 from .errors import DimensionError, SingularMatrix
 
-#: pivot threshold relative to the largest entry of the input matrix
+#: A matrix counts as singular when max|A| * max|A^-1| * SINGULARITY_RTOL
+#: reaches 1, i.e. when its condition number (in the max-entry norm) is
+#: 1e14 or more, or when LAPACK meets an exactly zero pivot.
 SINGULARITY_RTOL = 1e-14
 
 
 class LuFactors:
-    """Packed LU factorization P*A = L*U with unit-diagonal L.
+    """Factorization of a (B, n, n) stack of matrices, kept as the inverses."""
 
-    ``lu`` stores U on and above the diagonal and the L multipliers below;
-    ``pivots`` is the row permutation applied to A.
-    """
+    __slots__ = ("inv",)
 
-    __slots__ = ("lu", "pivots")
-
-    def __init__(self, lu, pivots):
-        self.lu = lu
-        self.pivots = pivots
+    def __init__(self, inv):
+        self.inv = inv
 
     @property
     def n(self):
-        return self.lu.shape[0]
-
-
-def lu_factorize(a):
-    """Factorize a square matrix with partial (row) pivoting.
-
-    Raises SingularMatrix when the best available pivot is below
-    SINGULARITY_RTOL relative to max|a|.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    lu = a.copy()
-    pivots = np.arange(n)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < SINGULARITY_RTOL * scale:
-            raise SingularMatrix(f"pivot {lu[p, k]:.3e} in column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            pivots[[k, p]] = pivots[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    if abs(lu[n - 1, n - 1]) < SINGULARITY_RTOL * scale:
-        raise SingularMatrix(f"pivot {lu[n - 1, n - 1]:.3e} in column {n - 1}")
-    return LuFactors(lu, pivots)
-
-
-def lu_solve(f, b):
-    """Solve A*X = B for one or several right-hand-side columns."""
-    b = np.asarray(b, dtype=float)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if b.shape[0] != f.n:
-        raise DimensionError(f"rhs has {b.shape[0]} rows, factors are {f.n}x{f.n}")
-    lu = f.lu
-    n = f.n
-    x = b[f.pivots].copy()
-    for k in range(1, n):            # forward: L y = P b
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):   # backward: U x = y
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x[:, 0] if vector else x
-
-
-class BatchLuFactors:
-    """A stack of LU factorizations, one per batch row."""
-
-    __slots__ = ("lu", "pivots")
-
-    def __init__(self, lu, pivots):
-        self.lu = lu
-        self.pivots = pivots
-
-    @property
-    def n(self):
-        return self.lu.shape[1]
+        return self.inv.shape[-1]
 
     def rows(self, idx):
         """Factors restricted to the given batch rows."""
-        return BatchLuFactors(self.lu[idx], self.pivots[idx])
+        return LuFactors(self.inv[idx])
+
+
+def _singular(row, detail):
+    exc = SingularMatrix(f"{detail} in batch row {row}")
+    exc.batch_row = row
+    return exc
 
 
 def lu_factorize_batch(a):
-    """Partial-pivoting LU of a (B, n, n) stack of square matrices.
+    """Factorize a (B, n, n) stack of square matrices.
 
-    Row-for-row identical to lu_factorize; raises SingularMatrix naming
-    the first offending batch row.
+    Raises SingularMatrix naming (in its message and its ``batch_row``)
+    the first row that is singular by the SINGULARITY_RTOL threshold.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionError(f"expected a (B, n, n) stack, got shape {a.shape}")
-    nb, n = a.shape[0], a.shape[1]
-    lu = a.copy()
-    pivots = np.tile(np.arange(n), (nb, 1))
-    rows = np.arange(nb)
-    scale = np.abs(a).max(axis=(1, 2))
-    if np.any(scale == 0.0):
-        raise SingularMatrix(f"zero matrix in batch row "
-                             f"{int(np.argmax(scale == 0.0))}")
-    for k in range(n - 1):
-        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
-        bad = np.abs(lu[rows, p, k]) < SINGULARITY_RTOL * scale
-        if np.any(bad):
-            b = int(np.argmax(bad))
-            raise SingularMatrix(
-                f"pivot {lu[b, p[b], k]:.3e} in column {k}, batch row {b}")
-        tmp = lu[rows, k, :].copy()
-        lu[rows, k, :] = lu[rows, p, :]
-        lu[rows, p, :] = tmp
-        tmp = pivots[rows, k].copy()
-        pivots[rows, k] = pivots[rows, p]
-        pivots[rows, p] = tmp
-        lu[:, k + 1:, k] /= lu[:, k, k][:, None]
-        lu[:, k + 1:, k + 1:] -= (lu[:, k + 1:, k][:, :, None]
-                                  * lu[:, k, k + 1:][:, None, :])
-    bad = np.abs(lu[:, n - 1, n - 1]) < SINGULARITY_RTOL * scale
-    if np.any(bad):
-        b = int(np.argmax(bad))
-        raise SingularMatrix(f"pivot {lu[b, n - 1, n - 1]:.3e} in column "
-                             f"{n - 1}, batch row {b}")
-    return BatchLuFactors(lu, pivots)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # LAPACK reports an exactly zero pivot for the stack as a whole
+        for row in range(a.shape[0]):
+            try:
+                np.linalg.inv(a[row])
+            except np.linalg.LinAlgError:
+                raise _singular(row, "zero pivot") from None
+        raise
+    cond = np.abs(a).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
+    ok = cond * SINGULARITY_RTOL < 1.0      # false for inf and nan too
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise _singular(row, f"condition estimate {cond[row]:.3e}")
+    return LuFactors(inv)
 
 
 def lu_solve_batch(f, b):
@@ -145,17 +76,23 @@ def lu_solve_batch(f, b):
     (B, n, k) for k of them.
     """
     b = np.asarray(b, dtype=float)
-    vector = b.ndim == 2
-    if vector:
-        b = b[:, :, None]
-    n = f.n
-    if b.shape[1] != n:
-        raise DimensionError(f"rhs has {b.shape[1]} rows, factors are {n}x{n}")
-    lu = f.lu
-    x = np.take_along_axis(b, f.pivots[:, :, None], axis=1).copy()
-    for k in range(1, n):            # forward: L y = P b
-        x[:, k, :] -= np.einsum("bj,bjm->bm", lu[:, k, :k], x[:, :k, :])
-    for k in range(n - 1, -1, -1):   # backward: U x = y
-        x[:, k, :] -= np.einsum("bj,bjm->bm", lu[:, k, k + 1:], x[:, k + 1:, :])
-        x[:, k, :] /= lu[:, k, k][:, None]
-    return x[:, :, 0] if vector else x
+    if b.shape[1] != f.n:
+        raise DimensionError(f"rhs has {b.shape[1]} rows, factors are "
+                             f"{f.n}x{f.n}")
+    if b.ndim == 2:
+        return (f.inv @ b[:, :, None])[:, :, 0]
+    return f.inv @ b
+
+
+def lu_factorize(a):
+    """lu_factorize_batch of a single square matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return lu_factorize_batch(a[None])
+
+
+def lu_solve(f, b):
+    """lu_solve_batch with the factors of one matrix and an (n,) or (n, k)
+    right-hand side."""
+    return lu_solve_batch(f, np.asarray(b, dtype=float)[None])[0]

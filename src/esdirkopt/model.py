@@ -1,6 +1,7 @@
 """ODE models: the quadruple tank system and analytic linear test models."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -11,25 +12,28 @@ MASS_CLAMP = 1e-9
 
 
 class OdeModel:
-    """Interface for models dx/dt = f(t, x, u, d) with output z = h(t, x, u, d)."""
+    """Interface for autonomous models dx/dt = f(x, u, d), evaluated over a
+    batch of B states at once, with linear output z = C x."""
 
     n_x = 0
     n_u = 0
     n_d = 0
     n_z = 0
-    #: True when f_batch/jacobians_batch are available (autonomous models only)
-    supports_batch = False
 
-    def f(self, t, x, u, d):
+    def f_batch(self, x, u, d):
+        """f over a (B, n_x) stack of states with per-row inputs (B, n_u)."""
         raise NotImplementedError
 
-    def dfdx(self, t, x, u, d):
+    def jacobians_batch(self, x):
+        """(df/dx, df/du) over a (B, n_x) stack of states.
+
+        df/du may be a single (n_x, n_u) matrix when it does not depend
+        on the state.
+        """
         raise NotImplementedError
 
-    def dfdu(self, t, x, u, d):
-        raise NotImplementedError
-
-    def output(self, t, x, u, d):
+    def output_matrix(self):
+        """The constant matrix C with z = C x."""
         raise NotImplementedError
 
 
@@ -48,101 +52,62 @@ class QtsParameters:
         if np.any(self.gamma_valves <= 0) or np.any(self.gamma_valves >= 1):
             raise ValueError("valve splits must lie strictly in (0, 1)")
 
-
-def _outflows(x, p):
-    """Tank outflows q_i = a_i*sqrt(2*g*x_i/(rho*A_i)), clamped at empty."""
-    if np.any(x < 0):
-        raise DomainError(f"negative tank mass: {x}")
-    xc = np.where(x < MASS_CLAMP, 0.0, x)
-    return p.a * np.sqrt(2.0 * p.g * xc / (p.rho * p.A))
-
-
-def qts_f(x, u, d, p):
-    """Mass balances of the four tanks [g/s]."""
-    q = _outflows(x, p)
-    gv = p.gamma_valves
-    return p.rho * np.array([
-        gv[0] * u[0] + q[2] + d[0] - q[0],
-        gv[1] * u[1] + q[3] + d[1] - q[1],
-        (1.0 - gv[1]) * u[1] + d[2] - q[2],
-        (1.0 - gv[0]) * u[0] + d[3] - q[3],
-    ])
+    @cached_property
+    def pump_split(self):
+        """(2, 4) matrix G: pump j feeds tank i at the rate G[j, i]*u_j."""
+        gv = self.gamma_valves
+        return np.array([[gv[0], 0.0, 0.0, 1.0 - gv[0]],
+                         [0.0, gv[1], 1.0 - gv[1], 0.0]])
 
 
-def qts_jacobians(x, u, d, p):
-    """Analytic (df/dx, df/du) of the tank mass balances."""
-    if np.any(x < 0):
-        raise DomainError(f"negative tank mass: {x}")
-    # dq_i/dx_i; zero for clamped (empty) tanks
-    dq = np.zeros(4)
-    live = x >= MASS_CLAMP
-    dq[live] = p.a[live] * p.g / (p.rho * p.A[live]) / np.sqrt(
-        2.0 * p.g * x[live] / (p.rho * p.A[live]))
-    rho = p.rho
-    jx = np.zeros((4, 4))
-    jx[0, 0] = -rho * dq[0]
-    jx[0, 2] = rho * dq[2]
-    jx[1, 1] = -rho * dq[1]
-    jx[1, 3] = rho * dq[3]
-    jx[2, 2] = -rho * dq[2]
-    jx[3, 3] = -rho * dq[3]
-    gv = p.gamma_valves
-    ju = rho * np.array([[gv[0], 0.0],
-                         [0.0, gv[1]],
-                         [0.0, 1.0 - gv[1]],
-                         [1.0 - gv[0], 0.0]])
-    return jx, ju
+#: (df_i/dq_j) / rho: every tank loses its own outflow q_i, and tanks 3 and 4
+#: drain into tanks 1 and 2
+DF_DQ = np.array([[-1.0, 0.0, 1.0, 0.0],
+                  [0.0, -1.0, 0.0, 1.0],
+                  [0.0, 0.0, -1.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0]])
 
 
-def qts_f_batch(x, u, d, p):
-    """qts_f over a (B, 4) stack of states and a (B, 2) stack of inputs."""
+def _check_domain(x):
+    """Raise DomainError naming the first batch row with a negative mass."""
     if np.any(x < 0):
         row = int(np.argmax(np.any(x < 0, axis=1)))
         exc = DomainError(f"negative tank mass: {x[row]}")
         exc.batch_row = row
         raise exc
+
+
+def qts_f_batch(x, u, d, p):
+    """Mass balances of the four tanks [g/s] over a (B, 4) stack of states
+    and a (B, 2) stack of inputs.
+
+    Tank outflows are q_i = a_i*sqrt(2*g*x_i/(rho*A_i)), zero for tanks
+    below MASS_CLAMP (empty).
+    """
+    _check_domain(x)
     xc = np.where(x < MASS_CLAMP, 0.0, x)
     q = p.a * np.sqrt(2.0 * p.g * xc / (p.rho * p.A))
-    gv = p.gamma_valves
-    out = np.empty_like(x)
-    out[:, 0] = gv[0] * u[:, 0] + q[:, 2] + d[0] - q[:, 0]
-    out[:, 1] = gv[1] * u[:, 1] + q[:, 3] + d[1] - q[:, 1]
-    out[:, 2] = (1.0 - gv[1]) * u[:, 1] + d[2] - q[:, 2]
-    out[:, 3] = (1.0 - gv[0]) * u[:, 0] + d[3] - q[:, 3]
-    out *= p.rho
-    return out
+    f = u @ p.pump_split
+    f[:, :2] += q[:, 2:]             # tanks 3 and 4 drain into 1 and 2
+    f += d
+    f -= q
+    f *= p.rho
+    return f
 
 
 def qts_jacobians_batch(x, p):
-    """Analytic (df/dx, df/du) stacks for a (B, 4) stack of states.
+    """Analytic (df/dx, df/du) for a (B, 4) stack of states.
 
     df/du does not depend on the state, so a single (4, 2) matrix is
     returned for the whole batch.
     """
-    if np.any(x < 0):
-        row = int(np.argmax(np.any(x < 0, axis=1)))
-        exc = DomainError(f"negative tank mass: {x[row]}")
-        exc.batch_row = row
-        raise exc
-    dq = np.zeros_like(x)
+    _check_domain(x)
     live = x >= MASS_CLAMP
-    coef = np.broadcast_to(p.a * p.g / (p.rho * p.A), x.shape)
-    dq[live] = coef[live] / np.sqrt(
-        2.0 * p.g * x[live] / np.broadcast_to(p.rho * p.A, x.shape)[live])
-    rho = p.rho
-    jx = np.zeros(x.shape[:1] + (4, 4))
-    jx[:, 0, 0] = -rho * dq[:, 0]
-    jx[:, 0, 2] = rho * dq[:, 2]
-    jx[:, 1, 1] = -rho * dq[:, 1]
-    jx[:, 1, 3] = rho * dq[:, 3]
-    jx[:, 2, 2] = -rho * dq[:, 2]
-    jx[:, 3, 3] = -rho * dq[:, 3]
-    gv = p.gamma_valves
-    ju = rho * np.array([[gv[0], 0.0],
-                         [0.0, gv[1]],
-                         [0.0, 1.0 - gv[1]],
-                         [1.0 - gv[0], 0.0]])
-    return jx, ju
+    # dq_i/dx_i; zero for clamped (empty) tanks
+    dq = np.where(live, p.a * p.g / (p.rho * p.A) / np.sqrt(
+        2.0 * p.g * np.where(live, x, 1.0) / (p.rho * p.A)), 0.0)
+    jx = dq[:, None, :] * (p.rho * DF_DQ)
+    return jx, p.rho * p.pump_split.T
 
 
 def qts_output(x, p):
@@ -161,19 +126,8 @@ class QuadrupleTank(OdeModel):
     def __init__(self, params=None):
         self.params = params if params is not None else QtsParameters()
 
-    def f(self, t, x, u, d):
-        return qts_f(x, u, d, self.params)
-
-    def dfdx(self, t, x, u, d):
-        return qts_jacobians(x, u, d, self.params)[0]
-
-    def dfdu(self, t, x, u, d):
-        return qts_jacobians(x, u, d, self.params)[1]
-
     def output(self, t, x, u, d):
         return qts_output(x, self.params)
-
-    supports_batch = True
 
     def f_batch(self, x, u, d):
         """f over a (B, 4) stack of states with per-row inputs (B, 2)."""
@@ -204,14 +158,11 @@ class LinearTestModel(OdeModel):
         self.lam = lam
         self.forcing = forcing
 
-    def f(self, t, x, u, d):
-        return self.lam * np.asarray(x, float) + u[0] + self.forcing
+    def f_batch(self, x, u, d):
+        return self.lam * x + u + self.forcing
 
-    def dfdx(self, t, x, u, d):
-        return np.array([[self.lam]])
-
-    def dfdu(self, t, x, u, d):
-        return np.array([[1.0]])
+    def jacobians_batch(self, x):
+        return np.full((x.shape[0], 1, 1), float(self.lam)), np.ones((1, 1))
 
     def output(self, t, x, u, d):
         return np.asarray(x, float)
@@ -234,6 +185,3 @@ class LinearTestModel(OdeModel):
         dxdu = t if lam == 0.0 else (e - 1.0) / lam
         return e, dxdu
 
-
-def linear_test_model(lam, forcing=0.0):
-    return LinearTestModel(lam, forcing)

@@ -11,17 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import (DomainError, EvaluationError, NewtonDivergence,
+                     SingularMatrix)
 from .integrator import (NewtonSettings, NewtonStrategy, integrate_interval,
                          integrate_intervals_batch)
 from .sensitivity import SensitivityMode
-
-
-def setpoint_profile(t, horizon):
-    """Level setpoints [cm]: [20, 30] before horizon/2, [30, 20] from there on."""
-    if t < horizon / 2.0:
-        return np.array([20.0, 30.0])
-    return np.array([30.0, 20.0])
 
 
 @dataclass
@@ -120,17 +114,10 @@ def evaluate(problem, w, counters):
     function of that interval's initial shooting state and input through
     the integrator, and its gradient flows through the step sensitivities.
 
-    The shooting intervals are independent initial value problems, so for
-    models with batched evaluation they are integrated in lockstep (same
-    numbers, same work counters on success, one model call per Newton
-    round instead of Nc).
+    The shooting intervals are independent initial value problems, so
+    they are integrated as one batch in lockstep, one model call per Newton
+    round for all of them.
     """
-    if getattr(problem.model, "supports_batch", False):
-        return _evaluate_batched(problem, w, counters)
-    return _evaluate_serial(problem, w, counters)
-
-
-def _evaluate_batched(problem, w, counters):
     m = problem.model
     n_x, n_u, Nc = m.n_x, m.n_u, problem.Nc
     Ts = problem.Ts
@@ -148,8 +135,8 @@ def _evaluate_batched(problem, w, counters):
         res = integrate_intervals_batch(
             m, problem.tableau, problem.strategy, problem.newton,
             problem.mode, x_starts, us, problem.d, Ts, N, counters)
-    except Exception as exc:  # Newton divergence, domain errors, singular M
-        raise EvaluationError(getattr(exc, "batch_row", "?"), exc) from exc
+    except (DomainError, NewtonDivergence, SingularMatrix) as exc:
+        raise EvaluationError(exc.batch_row, exc) from exc
 
     c = W[:, n_u:] - res.x_final
     grad = np.zeros_like(w.w)
@@ -181,57 +168,6 @@ def _evaluate_batched(problem, w, counters):
                       grad=grad, c=c, A=list(res.sens_wrt_x0),
                       B=list(res.sens_wrt_u), outputs=outputs,
                       setpoints=setpoints)
-
-
-def _evaluate_serial(problem, w, counters):
-    m = problem.model
-    n_x, n_u, Nc = m.n_x, m.n_u, problem.Nc
-    Ts = problem.Ts
-    h = Ts / problem.N
-    C = m.output_matrix()
-    Qz = problem.Qz
-    horizon = problem.horizon
-    A_blocks, B_blocks = [], []
-    c = np.empty((Nc, n_x))
-    grad = np.zeros_like(w.w)
-    phi_z = 0.0
-    outputs = np.empty((Nc, m.n_z))
-    setpoints = np.empty((Nc, m.n_z))
-    for n in range(Nc):
-        x_n = problem.x0 if n == 0 else w.x(n)
-        try:
-            res = integrate_interval(
-                m, problem.tableau, problem.strategy, problem.newton,
-                problem.mode, x_n, w.u(n), problem.d,
-                n * Ts, (n + 1) * Ts, problem.N, counters)
-        except Exception as exc:  # Newton divergence, domain errors, singular M
-            raise EvaluationError(n, exc) from exc
-        A_blocks.append(res.sens.wrt_x0)
-        B_blocks.append(res.sens.wrt_u)
-        c[n] = w.x(n + 1) - res.x_final
-        for k in range(1, problem.N + 1):
-            t_k = n * Ts + k * h
-            err = C @ res.trajectory[k] - problem.setpoint(t_k, horizon)
-            phi_z += 0.5 * h * err @ Qz @ err
-            gz = h * C.T @ (Qz @ err)
-            sens_k = res.step_sens[k - 1]
-            if n > 0:
-                grad[w.x_slice(n)] += sens_k.wrt_x0.T @ gz
-            grad[w.u_slice(n)] += sens_k.wrt_u.T @ gz
-        outputs[n] = C @ res.x_final
-        setpoints[n] = problem.setpoint((n + 1) * Ts, horizon)
-
-    qdu_bar = problem.qdu_bar
-    phi_du = 0.0
-    for n in range(Nc):
-        du = w.u(n) - (problem.u_prev if n == 0 else w.u(n - 1))
-        phi_du += 0.5 * du @ qdu_bar @ du
-        grad[w.u_slice(n)] += qdu_bar @ du
-        if n > 0:
-            grad[w.u_slice(n - 1)] -= qdu_bar @ du
-    return Evaluation(phi=phi_z + phi_du, phi_z=phi_z, phi_du=phi_du,
-                      grad=grad, c=c, A=A_blocks, B=B_blocks,
-                      outputs=outputs, setpoints=setpoints)
 
 
 def constraint_jacobian_transpose_times(ev, w, lam):

@@ -1,15 +1,17 @@
 """State and input sensitivity propagation for the ESDIRK steps.
 
-Three engines are provided:
+Sensitivities are packed per batch row as one (n_x, n_x + n_u) matrix
+[d/dx0 | d/du]. Two propagation passes run after the state pass of a
+step (see ``integrator.esdirk_step``, whose step record they read):
 
 * iterated: differentiates the scheme as executed, replaying exactly the
   recorded Newton updates of every stage with the same iteration matrix
   factorization and the Jacobians stored at each iterate.
 * direct: treats the stage equations as solved exactly and reads the
   sensitivities off the (approximate) iteration matrix of the step; cheap
-  but biased for large step sizes.
-* base-direct: the direct formulas with the exact stage matrix
-  I - h*gamma*df/dx(X_i) factorized fresh at every converged stage.
+  but biased for large step sizes. With BASE_DIRECT (base-direct) it
+  factorizes the exact stage matrix I - h*gamma*df/dx(X_i) fresh at every
+  converged stage instead.
 """
 
 import enum
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation
 
 
 class SensitivityMode(enum.Enum):
@@ -34,19 +35,6 @@ class SensitivityPair:
     wrt_x0: np.ndarray
     wrt_u: np.ndarray
 
-    @classmethod
-    def initial(cls, n_x, n_u):
-        """Sensitivities at the start of a shooting interval: (I, 0)."""
-        return cls(np.eye(n_x), np.zeros((n_x, n_u)))
-
-    def packed(self):
-        """Single (n_x, n_x + n_u) matrix [d/dx0 | d/du]."""
-        return np.hstack((self.wrt_x0, self.wrt_u))
-
-    @classmethod
-    def from_packed(cls, m, n_x):
-        return cls(m[:, :n_x].copy(), m[:, n_x:].copy())
-
 
 def _psi_derivative(step, stage_sens, i, h, a, n_x):
     """Packed [dpsi_i/dx0 | dpsi_i/du] from converged-stage data.
@@ -55,80 +43,80 @@ def _psi_derivative(step, stage_sens, i, h, a, n_x):
     at the step start. Stages j >= 2 use the converged-stage Jacobians and
     the already propagated stage sensitivities.
     """
-    p = step.sens_in.packed()
+    p = step["sens_in"]
     out = p.copy()
     for j in range(i):
-        jx, ju = step.stage_jac_x[j], step.stage_jac_u[j]
         sj = p if j == 0 else stage_sens[j - 1]
-        contrib = jx @ sj
-        contrib[:, n_x:] += ju
+        contrib = step["stage_jx"][j] @ sj
+        contrib[:, :, n_x:] += step["stage_ju"][j]
         out += h * a[i, j] * contrib
     return out
 
 
-def iterated_propagate(step, model, tableau, h, counters):
-    """Replay the recorded Newton updates for every stage on the sensitivities.
+def iterated_propagate(step, tab, h):
+    """Replay the recorded Newton updates of every stage on the sensitivities.
 
-    Performs exactly step.newton_counts[i] updates per stage, reusing the
-    step's single iteration matrix factorization; adds no factorizations
-    and no model evaluations (the per-iterate Jacobians were stored during
-    the state pass).
+    Each row gets exactly the updates its state iteration made, with the
+    step's single iteration matrix factorization and the Jacobians stored
+    at each iterate; adds no factorizations and no model evaluations.
+    Returns the packed sensitivities of the implicit stages.
     """
-    if step.iterate_jac_x is None:
-        raise ContractViolation("iterated propagation requires iterate history")
-    n_x, n_u = model.n_x, model.n_u
-    a, gamma = tableau.a, tableau.gamma
-    hg = h * gamma
+    n_x = step["sens_in"].shape[1]
+    hg = h * tab.gamma
+    factors = step["factors"]
     stage_sens = []
-    for idx in range(tableau.s - 1):
-        i = idx + 1
-        dpsi = _psi_derivative(step, stage_sens, i, h, a, n_x)
-        s_cur = step.stage_sens_init[idx]
-        jxs = step.iterate_jac_x[idx]
-        jus = step.iterate_jac_u[idx]
-        for l in range(step.newton_counts[idx]):
-            dres = s_cur - hg * (jxs[l] @ s_cur) - dpsi
-            dres[:, n_x:] -= hg * jus[l]
-            s_cur = s_cur - linalg.lu_solve(step.factors, dres)
+    for idx in range(tab.s - 1):
+        dpsi = _psi_derivative(step, stage_sens, idx + 1, h, tab.a, n_x)
+        s_cur = step["sens_init"][idx].copy()
+        for rows, jx, ju in step["newton_rounds"][idx]:
+            sm = s_cur[rows]
+            dres = sm - hg * (jx @ sm) - dpsi[rows]
+            dres[:, :, n_x:] -= hg * ju
+            s_cur[rows] = sm - linalg.lu_solve_batch(factors.rows(rows), dres)
         stage_sens.append(s_cur)
-    pairs = [SensitivityPair.from_packed(s, n_x) for s in stage_sens]
-    return pairs, pairs[-1]
+    return stage_sens
 
 
-def direct_propagate(step, model, tableau, h, mode, counters):
+def direct_propagate(step, model, tab, h, mode, counters):
     """Stage sensitivities from the converged stage equations.
 
-    DIRECT reuses the step's iteration matrix factorization; BASE_DIRECT
-    factorizes the exact stage matrix I - h*gamma*J(X_i) per stage (one
-    extra factorization each, Jacobians reused from the state pass).
+    Evaluates what the formulas need beyond the state pass: df/du at every
+    implicit stage, and for DIRECT df/dx at stages 2..s-1 (BASE_DIRECT
+    reuses the state pass's converged-stage Jacobians). DIRECT solves with
+    the step's iteration matrix factorization; BASE_DIRECT factorizes the
+    exact stage matrix per stage. Returns the packed sensitivities of the
+    implicit stages.
     """
-    if mode not in (SensitivityMode.DIRECT, SensitivityMode.BASE_DIRECT):
-        raise ContractViolation(f"direct_propagate called with mode {mode}")
-    n_x, n_u = model.n_x, model.n_u
-    a, gamma = tableau.a, tableau.gamma
-    hg = h * gamma
+    s, n_x = tab.s, model.n_x
+    hg = h * tab.gamma
+    nb = step["sens_in"].shape[0]
+    stage_jx, stage_ju = step["stage_jx"], step["stage_ju"]
+    for i in range(1, s):
+        jx_i, stage_ju[i] = model.jacobians_batch(step["stages"][i - 1])
+        counters.jac_u_evals += nb
+        if stage_jx[i] is None and i < s - 1:
+            counters.jac_x_evals += nb
+            stage_jx[i] = jx_i
     stage_sens = []
-    for idx in range(tableau.s - 1):
-        i = idx + 1
-        rhs = _psi_derivative(step, stage_sens, i, h, a, n_x)
-        rhs[:, n_x:] += hg * step.stage_jac_u[i]
+    for i in range(1, s):
+        rhs = _psi_derivative(step, stage_sens, i, h, tab.a, n_x)
+        rhs[:, :, n_x:] += hg * stage_ju[i]
         if mode is SensitivityMode.BASE_DIRECT:
-            ji = np.eye(n_x) - hg * step.stage_jac_x[i]
-            factors = linalg.lu_factorize(ji)
-            counters.lu_factorizations += 1
+            factors = linalg.lu_factorize_batch(np.eye(n_x) - hg * stage_jx[i])
+            counters.lu_factorizations += nb
         else:
-            factors = step.factors
-        stage_sens.append(linalg.lu_solve(factors, rhs))
-    pairs = [SensitivityPair.from_packed(s, n_x) for s in stage_sens]
-    return pairs, pairs[-1]
+            factors = step["factors"]
+        stage_sens.append(linalg.lu_solve_batch(factors, rhs))
+    return stage_sens
 
 
 def fd_sensitivity_oracle(model, tab, x0, u, d, t0, tf, n_steps,
                           rel_step=1e-6, strategy=None, settings=None):
-    """Central finite differences of the terminal state of integrate_interval.
+    """Central finite differences of the terminal state of one interval.
 
-    Independent check for the analytic propagation paths; runs the
-    integrator with tight Newton tolerances and no sensitivity mode.
+    Independent check for the analytic propagation paths: integrates the
+    2*(n_x + n_u) perturbed intervals as one batch, with tight Newton
+    tolerances and no sensitivity mode.
     """
     from . import integrator
 
@@ -138,28 +126,15 @@ def fd_sensitivity_oracle(model, tab, x0, u, d, t0, tf, n_steps,
     if strategy is None:
         strategy = integrator.NewtonStrategy.REUSE_PER_STEP
 
-    def terminal(xs, us):
-        counters = integrator.WorkCounters()
-        res = integrator.integrate_interval(
-            model, tab, strategy, settings, SensitivityMode.NONE,
-            xs, us, d, t0, tf, n_steps, counters)
-        return res.x_final
-
-    x0 = np.asarray(x0, float)
-    u = np.asarray(u, float)
-    n_x, n_u = model.n_x, model.n_u
-    wrt_x0 = np.zeros((n_x, n_x))
-    wrt_u = np.zeros((n_x, n_u))
-    for j in range(n_x):
-        eps = rel_step * (1.0 + abs(x0[j]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += eps
-        xm[j] -= eps
-        wrt_x0[:, j] = (terminal(xp, u) - terminal(xm, u)) / (2.0 * eps)
-    for j in range(n_u):
-        eps = rel_step * (1.0 + abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += eps
-        um[j] -= eps
-        wrt_u[:, j] = (terminal(x0, up) - terminal(x0, um)) / (2.0 * eps)
-    return SensitivityPair(wrt_x0, wrt_u)
+    n_x, n = model.n_x, model.n_x + model.n_u
+    base = np.concatenate((np.asarray(x0, float), np.asarray(u, float)))
+    eps = rel_step * (1.0 + np.abs(base))
+    rows = np.tile(base, (2 * n, 1))
+    rows[:n] += np.diag(eps)
+    rows[n:] -= np.diag(eps)
+    res = integrator.integrate_intervals_batch(
+        model, tab, strategy, settings, SensitivityMode.NONE,
+        rows[:, :n_x], rows[:, n_x:], d, tf - t0, n_steps,
+        integrator.WorkCounters())
+    jac = (res.x_final[:n] - res.x_final[n:]).T / (2.0 * eps)
+    return SensitivityPair(jac[:, :n_x], jac[:, n_x:])

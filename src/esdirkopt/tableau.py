@@ -152,13 +152,18 @@ def predict_stages(coeffs, x_prev, stage_values_prev):
     """Warm-start guesses X_i^0 for the implicit stages of the next step.
 
     ``stage_values_prev`` holds the previous step's converged implicit
-    stages Xhat_2..Xhat_s; the last entry is x_k by stiff accuracy.
+    stages Xhat_2..Xhat_s; the last entry is x_k by stiff accuracy. The
+    combination is elementwise, so a state may be an array of any shape:
+    a batch of states, or of their sensitivity matrices.
     """
     m = len(coeffs.alpha)
     if len(stage_values_prev) != m:
         raise ValueError(f"expected {m} previous stage values, "
                          f"got {len(stage_values_prev)}")
-    stages = np.asarray(stage_values_prev, float)
-    x_prev = np.asarray(x_prev, float)
-    return [coeffs.alpha[i] * x_prev + coeffs.beta[i] @ stages
-            for i in range(m)]
+    preds = []
+    for i in range(m):
+        acc = coeffs.beta[i, 0] * stage_values_prev[0]
+        for j in range(1, m):
+            acc = acc + coeffs.beta[i, j] * stage_values_prev[j]
+        preds.append(coeffs.alpha[i] * x_prev + acc)
+    return preds

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from esdirkopt import bench
 from esdirkopt.bench import (COLUMNS, RunConfig, RunStats, config_from,
                              emit_report, parse_config_file, run_single,
                              run_sweep, stats_from_json, stats_to_csv,
@@ -128,6 +129,23 @@ def test_sweep_covers_grid_and_keeps_failures():
         run_sweep(quick_config(), n_list=())
 
 
+def test_sweep_streams_rows_as_solved(monkeypatch):
+    events = []
+
+    def solve(config, out_dir=None):
+        events.append(("solved", config.N))
+        return RunStats(config.method, config.sens, config.N, True, 1, 1,
+                        0.0, 1, 1, 1, 1, 0.0)
+
+    monkeypatch.setattr(bench, "run_single", solve)
+    rows = run_sweep(quick_config(), n_list=(1, 2, 3), methods=("esdirk12",),
+                     sens_modes=("iterated",),
+                     row_sink=lambda s: events.append(("sink", s.N)))
+    assert [s.N for s in rows] == [1, 2, 3]
+    assert events == [("solved", 1), ("sink", 1), ("solved", 2),
+                      ("sink", 2), ("solved", 3), ("sink", 3)]
+
+
 def test_stats_csv_format():
     stats = [RunStats("esdirk12", "direct", 5, False, 3, 7, 0.25,
                       10, 11, 12, 13, 1.5)]
@@ -207,3 +225,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     empty.write_text("[]\n")
     assert main(["report", str(empty)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", [
+    "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "max_sqp_iter = 0",
+    "qz = [1, 2, 3]", "x0 = [1, 2]", "d = 5", "u_prev = [300]",
+    "u_min = [0, 0, 0]", "setpoint_second = [30]", "qdu = [0.1, 0.1, 0.1]"])
+def test_cli_rejects_malformed_config(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert line.split()[0] in capsys.readouterr().err

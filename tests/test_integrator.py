@@ -7,8 +7,8 @@ from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   integrate_interval,
                                   integrate_intervals_batch)
 from esdirkopt.model import LinearTestModel, QuadrupleTank
-from esdirkopt.sensitivity import SensitivityMode, SensitivityPair
-from esdirkopt.tableau import make_tableau
+from esdirkopt.sensitivity import SensitivityMode
+from esdirkopt.tableau import make_tableau, svp_coefficients
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
@@ -17,33 +17,55 @@ D0 = np.array([0.0, 0.0, 100.0, 100.0])
 TIGHT = NewtonSettings(abs=1e-12, rel=1e-12, max_iterations=50)
 
 
-def run_qts(method, strategy, mode, n_steps=10, settings=None,
-            keep_records=False, x0=X0, u=U0):
+def run_qts(method, strategy, mode, n_steps=10, settings=None, x0=X0, u=U0):
     counters = WorkCounters()
     res = integrate_interval(
         QuadrupleTank(), make_tableau(method), strategy,
         settings if settings is not None else NewtonSettings(), mode,
-        x0, u, D0, 0.0, 10.0, n_steps, counters, keep_records=keep_records)
+        x0, u, D0, 0.0, 10.0, n_steps, counters)
     return res, counters
+
+
+def step_qts(method, strategy, mode, n_steps=10):
+    """run_qts stepped by hand with esdirk_step on a batch of one row.
+
+    Returns the counters and the (n_steps, s-1) Newton iteration counts
+    of the stages of every step.
+    """
+    model, tab = QuadrupleTank(), make_tableau(method)
+    svp = svp_coefficients(tab, 1.0)
+    counters = WorkCounters()
+    x = X0[None]
+    sens = np.hstack((np.eye(4), np.zeros((4, 2))))[None]
+    prev, counts = None, []
+    for _ in range(n_steps):
+        prev = esdirk_step(model, tab, strategy, NewtonSettings(), mode, x,
+                           sens, U0[None], D0, 10.0 / n_steps, prev,
+                           counters, svp)
+        x, sens = prev["x_next"], prev.get("sens_next")
+        counts.append(prev["newton_counts"][0])
+    _, reference = run_qts(method, strategy, mode, n_steps)
+    assert counters.as_dict() == reference.as_dict()
+    return counters, np.array(counts)
 
 
 def test_esdirk12_step_is_implicit_euler():
     lam, forcing = -0.5, 0.2
     m = LinearTestModel(lam, forcing)
     h = 0.3
-    x0 = np.array([1.7])
-    counters = WorkCounters()
+    x0 = np.array([[1.7], [-0.4], [3.0]])
+    u = np.array([[0.4], [0.0], [-1.1]])
+    sens0 = np.tile(np.eye(1, 2), (3, 1, 1))
     rec = esdirk_step(m, make_tableau("ESDIRK12"),
                       NewtonStrategy.REUSE_PER_STEP, TIGHT,
-                      SensitivityMode.NONE, x0, None, np.array([0.4]), None,
-                      0.0, h, None, counters)
-    exact = (x0[0] + h * (0.4 + forcing)) / (1.0 - h * lam)
-    assert rec.x_next[0] == pytest.approx(exact, rel=1e-12)
-    assert np.allclose(rec.embedded_error,
-                       rec.x_next - (x0 + 0.5 * h * (m.f(0, x0, [0.4], None)
-                                                     + lam * rec.x_next
-                                                     + 0.4 + forcing)),
-                       rtol=0, atol=1e-12)
+                      SensitivityMode.DIRECT, x0, sens0, u, None, h, None,
+                      WorkCounters(), None)
+    exact = (x0 + h * (u + forcing)) / (1.0 - h * lam)
+    assert np.allclose(rec["x_next"], exact, rtol=1e-12, atol=0)
+    # d x_next / d(x0, u) of implicit Euler, for every row
+    assert np.allclose(rec["sens_next"],
+                       np.array([[[1.0, h]]]) / (1.0 - h * lam),
+                       rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("method,order", [("ESDIRK12", 1), ("ESDIRK23", 2),
@@ -80,11 +102,11 @@ def test_frozen_terminal_state_esdirk23():
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_reuse(method):
-    res, counters = run_qts(method, NewtonStrategy.REUSE_PER_STEP,
-                            SensitivityMode.ITERATED, keep_records=True)
-    n_steps = len(res.records)
+    n_steps = 10
+    counters, counts = step_qts(method, NewtonStrategy.REUSE_PER_STEP,
+                                SensitivityMode.ITERATED, n_steps)
     assert counters.lu_factorizations == n_steps
-    newton = sum(sum(r.newton_counts) for r in res.records)
+    newton = counts.sum()
     assert counters.newton_iterations == newton
     # one Jacobian pair at the step start plus one pair per Newton iterate
     assert counters.jac_x_evals == n_steps + newton
@@ -93,11 +115,13 @@ def test_counter_identities_reuse(method):
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_refactorize(method):
-    res, counters = run_qts(method, NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
-                            SensitivityMode.BASE_DIRECT, keep_records=True)
+    n_steps = 10
+    counters, counts = step_qts(method,
+                                NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
+                                SensitivityMode.BASE_DIRECT, n_steps)
     s = make_tableau(method).s
-    n_steps = len(res.records)
-    newton = sum(sum(r.newton_counts) for r in res.records)
+    newton = counts.sum()
+    assert counters.newton_iterations == newton
     # state pass factorizes once per Newton iteration; the sensitivity pass
     # adds one fresh stage-matrix factorization per implicit stage
     assert counters.lu_factorizations == newton + n_steps * (s - 1)
@@ -107,10 +131,11 @@ def test_counter_identities_refactorize(method):
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_direct(method):
-    res, counters = run_qts(method, NewtonStrategy.REUSE_PER_STEP,
-                            SensitivityMode.DIRECT, keep_records=True)
+    n_steps = 10
+    counters, counts = step_qts(method, NewtonStrategy.REUSE_PER_STEP,
+                                SensitivityMode.DIRECT, n_steps)
     s = make_tableau(method).s
-    n_steps = len(res.records)
+    assert counters.newton_iterations == counts.sum()
     # direct mode adds no factorizations beyond the one per step
     assert counters.lu_factorizations == n_steps
     # Jacobians: step start plus fresh ones at converged stages 2..s-1
@@ -131,12 +156,12 @@ def test_strategy_equivalence_tight_tolerances():
 def test_min_one_newton_iteration():
     # even a perfect predictor performs at least one update per stage
     m = LinearTestModel(0.0)       # f independent of x: residual exact
-    counters = WorkCounters()
     rec = esdirk_step(m, make_tableau("ESDIRK23"),
                       NewtonStrategy.REUSE_PER_STEP, NewtonSettings(),
-                      SensitivityMode.NONE, np.array([1.0]), None,
-                      np.array([0.0]), None, 0.0, 0.1, None, counters)
-    assert all(c >= 1 for c in rec.newton_counts)
+                      SensitivityMode.NONE, np.array([[1.0], [2.0]]), None,
+                      np.zeros((2, 1)), None, 0.1, None, WorkCounters(), None)
+    assert rec["newton_counts"].shape == (2, 2)
+    assert np.all(rec["newton_counts"] >= 1)
 
 
 def test_newton_divergence():
@@ -170,11 +195,10 @@ def test_interval_argument_validation():
 
 
 def test_warm_start_reduces_newton_work():
-    res, _ = run_qts("ESDIRK34", NewtonStrategy.REUSE_PER_STEP,
-                     SensitivityMode.NONE, n_steps=20, keep_records=True)
-    first = sum(res.records[0].newton_counts)
-    later = [sum(r.newton_counts) for r in res.records[5:]]
-    assert max(later) <= first
+    _, counts = step_qts("ESDIRK34", NewtonStrategy.REUSE_PER_STEP,
+                         SensitivityMode.NONE, n_steps=20)
+    per_step = counts.sum(axis=1)
+    assert per_step[5:].max() <= per_step[0]
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
@@ -183,7 +207,9 @@ def test_warm_start_reduces_newton_work():
     (SensitivityMode.DIRECT, NewtonStrategy.REUSE_PER_STEP),
     (SensitivityMode.BASE_DIRECT, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
 ])
-def test_batched_matches_serial(method, mode, strategy):
+def test_batch_matches_single_rows(method, mode, strategy):
+    # rows converge after different numbers of Newton iterations, so this
+    # also covers the subsetting of the still-iterating rows
     rng = np.random.default_rng(11)
     nb = 5
     x0s = X0 * (1.0 + 0.2 * rng.random((nb, 4)))
@@ -206,23 +232,3 @@ def test_batched_matches_serial(method, mode, strategy):
         assert np.allclose(batch.sens_wrt_u[k], res.sens.wrt_u,
                            rtol=0, atol=1e-12)
     assert cb.as_dict() == cs.as_dict()
-
-
-def test_batched_requires_batch_model():
-    m = LinearTestModel(-1.0)
-    counters = WorkCounters()
-    with pytest.raises(ContractViolation):
-        integrate_intervals_batch(m, make_tableau("ESDIRK12"),
-                                  NewtonStrategy.REUSE_PER_STEP,
-                                  NewtonSettings(), SensitivityMode.NONE,
-                                  np.ones((2, 1)), np.zeros((2, 1)), None,
-                                  1.0, 2, counters)
-
-
-def test_sensitivity_pair_packing():
-    pair = SensitivityPair.initial(3, 2)
-    packed = pair.packed()
-    assert packed.shape == (3, 5)
-    back = SensitivityPair.from_packed(packed, 3)
-    assert np.array_equal(back.wrt_x0, np.eye(3))
-    assert np.array_equal(back.wrt_u, np.zeros((3, 2)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdirkopt.errors import DimensionError, SingularMatrix
 from esdirkopt.linalg import (lu_factorize, lu_factorize_batch, lu_solve,
@@ -48,17 +50,35 @@ def test_rhs_dimension_mismatch():
         lu_solve(f, np.ones(4))
 
 
-def test_batch_matches_serial():
+def test_batch_matches_numpy_solve():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 4, 4)) + 4 * np.eye(4)
     b = rng.standard_normal((6, 4))
-    fb = lu_factorize_batch(a)
-    xb = lu_solve_batch(fb, b)
+    xb = lu_solve_batch(lu_factorize_batch(a), b)
+    assert np.allclose(xb, np.linalg.solve(a, b[:, :, None])[:, :, 0],
+                       rtol=1e-13, atol=0)
+    # a single matrix gets the same factors as inside a stack
     for k in range(6):
-        f = lu_factorize(a[k])
-        assert np.array_equal(fb.lu[k], f.lu)
-        assert np.array_equal(fb.pivots[k], f.pivots)
-        assert np.allclose(xb[k], lu_solve(f, b[k]), rtol=0, atol=1e-13)
+        assert np.array_equal(lu_solve(lu_factorize(a[k]), b[k]), xb[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_batch_solve_property(nb, n, seed, data):
+    # diagonally dominant stacks solve like np.linalg.solve; a singular
+    # matrix at any row is reported with that row
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (nb, n, n))
+    a += np.eye(n) * (np.abs(a).sum(axis=2, keepdims=True) + 1.0)
+    b = rng.standard_normal((nb, n, 2))
+    x = lu_solve_batch(lu_factorize_batch(a), b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
+    row = data.draw(st.integers(0, nb - 1))
+    a[row, :, -1] = a[row, :, 0] if n > 1 else 0.0
+    with pytest.raises(SingularMatrix, match=f"batch row {row}$") as err:
+        lu_factorize_batch(a)
+    assert err.value.batch_row == row
 
 
 def test_batch_multi_rhs():
@@ -83,8 +103,9 @@ def test_batch_rows_subset():
 
 def test_batch_singular_names_row():
     a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
-    with pytest.raises(SingularMatrix, match="batch row 1"):
+    with pytest.raises(SingularMatrix, match="batch row 1") as err:
         lu_factorize_batch(a)
+    assert err.value.batch_row == 1
 
 
 def test_batch_shape_checks():

@@ -1,29 +1,34 @@
 import numpy as np
 import pytest
 
-from esdirkopt.errors import EvaluationError
-from esdirkopt.integrator import NewtonSettings, NewtonStrategy, WorkCounters
+from esdirkopt.bench import SetpointSwitch
+from esdirkopt.errors import EvaluationError, SingularMatrix
+from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
+                                  WorkCounters, integrate_interval)
 from esdirkopt.model import QuadrupleTank
 from esdirkopt.nlp import (DecisionVector, OcpProblem,
-                           constraint_jacobian_transpose_times,
-                           _evaluate_batched, _evaluate_serial, evaluate,
-                           setpoint_profile, simulate_decision_vector)
+                           constraint_jacobian_transpose_times, evaluate,
+                           simulate_decision_vector)
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
 
 
-def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None):
+SETPOINTS = SetpointSwitch(np.array([20.0, 30.0]), np.array([30.0, 20.0]))
+
+
+def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None,
+                  model=None):
     strategy = NewtonStrategy.REFACTORIZE_EVERY_ITERATION \
         if mode is SensitivityMode.BASE_DIRECT \
         else NewtonStrategy.REUSE_PER_STEP
     return OcpProblem(
-        model=QuadrupleTank(),
+        model=model if model is not None else QuadrupleTank(),
         x0=np.array([7602.7, 11404.0, 1000.0, 1000.0]),
         Ts=10.0, Nc=Nc, N=N,
         Qz=np.diag([10.0, 10.0]),
         Qdu=np.diag([0.1, 0.1]),
         u_min=np.zeros(2), u_max=np.full(2, 500.0),
-        setpoint=setpoint_profile,
+        setpoint=SETPOINTS,
         u_prev=np.full(2, 300.0),
         d=np.array([0.0, 0.0, 100.0, 100.0]),
         tableau=make_tableau("ESDIRK23"),
@@ -51,11 +56,11 @@ def test_decision_vector_layout():
         DecisionVector(np.zeros(11), 2, 2, 3)
 
 
-def test_setpoint_profile_switch():
-    assert np.array_equal(setpoint_profile(0.0, 400.0), [20.0, 30.0])
-    assert np.array_equal(setpoint_profile(199.9, 400.0), [20.0, 30.0])
-    assert np.array_equal(setpoint_profile(200.0, 400.0), [30.0, 20.0])
-    assert np.array_equal(setpoint_profile(400.0, 400.0), [30.0, 20.0])
+def test_setpoint_switch():
+    assert np.array_equal(SETPOINTS(0.0, 400.0), [20.0, 30.0])
+    assert np.array_equal(SETPOINTS(199.9, 400.0), [20.0, 30.0])
+    assert np.array_equal(SETPOINTS(200.0, 400.0), [30.0, 20.0])
+    assert np.array_equal(SETPOINTS(400.0, 400.0), [30.0, 20.0])
 
 
 def test_simulated_vector_is_feasible():
@@ -139,28 +144,60 @@ def test_jacobian_transpose_product():
 @pytest.mark.parametrize("mode", [SensitivityMode.ITERATED,
                                   SensitivityMode.DIRECT,
                                   SensitivityMode.BASE_DIRECT])
-def test_batched_evaluation_matches_serial(mode):
+def test_evaluation_matches_single_intervals(mode):
+    # the batched evaluation agrees with one integrate_interval per interval
     problem = small_problem(mode=mode, Nc=6, N=4)
     w = perturbed_w(problem, seed=3)
-    cs, cb = WorkCounters(), WorkCounters()
-    es = _evaluate_serial(problem, w, cs)
-    eb = _evaluate_batched(problem, w, cb)
-    assert cs.as_dict() == cb.as_dict()
-    assert eb.phi == pytest.approx(es.phi, rel=1e-13)
-    assert np.allclose(eb.grad, es.grad, rtol=1e-12, atol=1e-12)
-    assert np.allclose(eb.c, es.c, rtol=0, atol=1e-9)
-    for a, b in zip(es.A, eb.A):
-        assert np.allclose(a, b, rtol=0, atol=1e-13)
-    for a, b in zip(es.B, eb.B):
-        assert np.allclose(a, b, rtol=0, atol=1e-11)
+    cb, cs = WorkCounters(), WorkCounters()
+    ev = evaluate(problem, w, cb)
+    for n in range(problem.Nc):
+        x_n = problem.x0 if n == 0 else w.x(n)
+        res = integrate_interval(
+            problem.model, problem.tableau, problem.strategy, problem.newton,
+            mode, x_n, w.u(n), problem.d, n * problem.Ts,
+            (n + 1) * problem.Ts, problem.N, cs)
+        assert np.allclose(ev.c[n], w.x(n + 1) - res.x_final,
+                           rtol=0, atol=1e-9)
+        assert np.allclose(ev.A[n], res.sens.wrt_x0, rtol=0, atol=1e-13)
+        assert np.allclose(ev.B[n], res.sens.wrt_u, rtol=0, atol=1e-11)
+    assert cb.as_dict() == cs.as_dict()
 
 
 def test_evaluation_error_carries_interval():
     problem = small_problem()
     w = perturbed_w(problem, seed=4)
     w.w[w.u_slice(2)] = -1e5       # drains the tanks below zero mass
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as err:
         evaluate(problem, w, WorkCounters())
+    assert err.value.interval == 2
+
+
+class SingularAboveLimit(QuadrupleTank):
+    """Quadruple tank whose df/dx makes the iteration matrix singular
+    wherever tank 1 holds more than ``limit``."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def jacobians_batch(self, x):
+        jx, ju = super().jacobians_batch(x)
+        jx[x[:, 0] > self.limit] = 1e20
+        return jx, ju
+
+
+@pytest.mark.parametrize("mode", [SensitivityMode.ITERATED,
+                                  SensitivityMode.BASE_DIRECT])
+def test_singular_iteration_matrix_carries_interval(mode):
+    # the step-start factorization (iterated) and the per-iterate ones of
+    # the still-iterating rows (base) both name the interval
+    problem = small_problem(mode=mode, model=SingularAboveLimit(15000.0))
+    w = perturbed_w(problem, seed=5)
+    w.w[w.x_slice(2)][0] = 20000.0     # interval 2 starts above the limit
+    with pytest.raises(EvaluationError) as err:
+        evaluate(problem, w, WorkCounters())
+    assert isinstance(err.value.cause, SingularMatrix)
+    assert err.value.interval == 2
 
 
 def test_problem_validation():
