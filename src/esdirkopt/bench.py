@@ -40,7 +40,10 @@ class SetpointSwitch:
     second: np.ndarray
 
     def __call__(self, t, horizon):
-        return self.first if t < horizon / 2.0 else self.second
+        """The (n_z,) setpoint at a time t, or one row per time for an
+        array of times."""
+        return np.where(np.asarray(t)[..., None] < horizon / 2.0,
+                        self.first, self.second)
 
 
 @dataclass
@@ -209,18 +212,14 @@ def run_single(config, out_dir=None):
 def _write_trajectory(config, problem, w, out_dir):
     """Optimal (t, z1, z2, zbar1, zbar2, u1, u2) at the shooting nodes."""
     C = problem.model.output_matrix()
-    horizon = problem.horizon
     os.makedirs(out_dir, exist_ok=True)
     name = f"trajectory_{config.method}_{config.sens}_N{config.N}.csv"
     path = os.path.join(out_dir, name)
+    t = problem.Ts * np.arange(1, config.Nc + 1)
+    rows = np.column_stack([t, w.X @ C.T, problem.setpoint(t, problem.horizon),
+                            w.U])
     lines = ["t,z1,z2,zbar1,zbar2,u1,u2"]
-    for n in range(1, config.Nc + 1):
-        t = n * problem.Ts
-        z = C @ w.x(n)
-        zbar = problem.setpoint(t, horizon)
-        u = w.u(n - 1)
-        vals = [t, z[0], z[1], zbar[0], zbar[1], u[0], u[1]]
-        lines.append(",".join(_fmt(float(v)) for v in vals))
+    lines += [",".join(_fmt(float(v)) for v in row) for row in rows]
     _write_file(path, "\n".join(lines) + "\n")
     return path
 

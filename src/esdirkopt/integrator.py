@@ -54,13 +54,6 @@ class WorkCounters:
     lu_factorizations: int = 0
     newton_iterations: int = 0
 
-    def merge(self, other):
-        self.f_evals += other.f_evals
-        self.jac_x_evals += other.jac_x_evals
-        self.jac_u_evals += other.jac_u_evals
-        self.lu_factorizations += other.lu_factorizations
-        self.newton_iterations += other.newton_iterations
-
     def as_dict(self):
         return {"f_evals": self.f_evals,
                 "jac_x_evals": self.jac_x_evals,

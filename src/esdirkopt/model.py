@@ -110,11 +110,6 @@ def qts_jacobians_batch(x, p):
     return jx, p.rho * p.pump_split.T
 
 
-def qts_output(x, p):
-    """Bottom tank levels [cm]: z_i = x_i/(rho*A_i) for i = 1, 2."""
-    return np.asarray(x)[:2] / (p.rho * p.A[:2])
-
-
 class QuadrupleTank(OdeModel):
     """Four interconnected tanks, two pump inputs, two level outputs."""
 
@@ -125,9 +120,6 @@ class QuadrupleTank(OdeModel):
 
     def __init__(self, params=None):
         self.params = params if params is not None else QtsParameters()
-
-    def output(self, t, x, u, d):
-        return qts_output(x, self.params)
 
     def f_batch(self, x, u, d):
         """f over a (B, 4) stack of states with per-row inputs (B, 2)."""
@@ -163,9 +155,6 @@ class LinearTestModel(OdeModel):
 
     def jacobians_batch(self, x):
         return np.full((x.shape[0], 1, 1), float(self.lam)), np.ones((1, 1))
-
-    def output(self, t, x, u, d):
-        return np.asarray(x, float)
 
     def output_matrix(self):
         return np.array([[1.0]])

@@ -1,13 +1,20 @@
 """Multiple-shooting transcription of the tracking optimal control problem.
 
 The decision vector interleaves inputs and shooting states as
-[u_0, x_1, u_1, x_2, ..., u_{Nc-1}, x_Nc]; x_0 is fixed by the problem.
+w = [u_0, x_1, u_1, x_2, ..., u_{Nc-1}, x_Nc]; x_0 is fixed by the problem.
+Reshaped to (Nc, n_u + n_x), row n is the block [u_n, x_{n+1}] of control
+interval n. ``DecisionVector.U`` (Nc, n_u) and ``DecisionVector.X``
+(Nc, n_x) are the two column ranges of that block view, writable views of
+w: ``U[n]`` is u_n and ``X[n]`` is x_{n+1}. Every layer reads and writes the
+layout through them.
+
 Each control interval is integrated as an independent initial value
 problem with sensitivities reset to (I, 0) at the interval start, which
-yields the continuity residuals and their block Jacobians.
+yields the continuity residuals c_n = x_{n+1} - F_n(x_n, u_n) and their
+Jacobian blocks A_n = dF_n/dx_n and B_n = dF_n/du_n, stacked over n.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +36,7 @@ class OcpProblem:
     Qdu: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    setpoint: callable
+    setpoint: callable     # (t, horizon) -> z rows, one per time in t
     u_prev: np.ndarray
     d: np.ndarray
     tableau: object
@@ -53,7 +60,8 @@ class OcpProblem:
 
 
 class DecisionVector:
-    """Flat decision vector with [u_n, x_{n+1}] blocks."""
+    """Flat decision vector w with its block views U = [u_n] and
+    X = [x_{n+1}], both writable views of w."""
 
     def __init__(self, w, n_x, n_u, Nc):
         w = np.asarray(w, float)
@@ -63,6 +71,9 @@ class DecisionVector:
         self.n_x = n_x
         self.n_u = n_u
         self.Nc = Nc
+        blocks = w.reshape(Nc, n_u + n_x)
+        self.U = blocks[:, :n_u]
+        self.X = blocks[:, n_u:]
 
     @classmethod
     def filled(cls, value, n_x, n_u, Nc):
@@ -70,26 +81,6 @@ class DecisionVector:
 
     def copy(self):
         return DecisionVector(self.w.copy(), self.n_x, self.n_u, self.Nc)
-
-    def _block(self, n):
-        return n * (self.n_x + self.n_u)
-
-    def u(self, n):
-        o = self._block(n)
-        return self.w[o:o + self.n_u]
-
-    def x(self, n):
-        """Shooting state x_n for n = 1..Nc."""
-        o = self._block(n - 1) + self.n_u
-        return self.w[o:o + self.n_x]
-
-    def u_slice(self, n):
-        o = self._block(n)
-        return slice(o, o + self.n_u)
-
-    def x_slice(self, n):
-        o = self._block(n - 1) + self.n_u
-        return slice(o, o + self.n_x)
 
 
 @dataclass
@@ -100,10 +91,8 @@ class Evaluation:
     phi_du: float
     grad: np.ndarray
     c: np.ndarray                  # continuity residuals, (Nc, n_x)
-    A: list                        # dF_n/dx_n per interval
-    B: list                        # dF_n/du_n per interval
-    outputs: np.ndarray            # z at shooting nodes 1..Nc
-    setpoints: np.ndarray
+    A: np.ndarray                  # dF_n/dx_n, (Nc, n_x, n_x)
+    B: np.ndarray                  # dF_n/du_n, (Nc, n_x, n_u)
 
 
 def evaluate(problem, w, counters):
@@ -125,64 +114,49 @@ def evaluate(problem, w, counters):
     h = Ts / N
     C = m.output_matrix()
     Qz = problem.Qz
-    horizon = problem.horizon
-    W = w.w.reshape(Nc, n_u + n_x)
-    x_starts = np.empty((Nc, n_x))
-    x_starts[0] = problem.x0
-    x_starts[1:] = W[:-1, n_u:]
-    us = W[:, :n_u]
+    x_starts = np.vstack([problem.x0, w.X[:-1]])
     try:
         res = integrate_intervals_batch(
             m, problem.tableau, problem.strategy, problem.newton,
-            problem.mode, x_starts, us, problem.d, Ts, N, counters)
+            problem.mode, x_starts, w.U, problem.d, Ts, N, counters)
     except (DomainError, NewtonDivergence, SingularMatrix) as exc:
         raise EvaluationError(exc.batch_row, exc) from exc
 
-    c = W[:, n_u:] - res.x_final
-    grad = np.zeros_like(w.w)
-    G = grad.reshape(Nc, n_u + n_x)
+    c = w.X - res.x_final
+    grad = DecisionVector.filled(0.0, n_x, n_u, Nc)
     n_idx = np.arange(Nc)
     phi_z = 0.0
     for k in range(1, N + 1):
-        t_k = n_idx * Ts + k * h
-        zbar = np.stack([problem.setpoint(t, horizon) for t in t_k])
+        zbar = problem.setpoint(n_idx * Ts + k * h, problem.horizon)
         err = res.trajectory[:, k] @ C.T - zbar
         phi_z += 0.5 * h * float(np.einsum("bi,ij,bj->", err, Qz, err))
         gz = h * (err @ Qz.T) @ C
         sens_k = res.step_sens[k - 1]
-        # d/dx_n enters block n-1's state part; interval 0 starts at x0
-        G[:-1, n_u:] += np.einsum("bij,bi->bj", sens_k[1:, :, :n_x], gz[1:])
-        G[:, :n_u] += np.einsum("bij,bi->bj", sens_k[:, :, n_x:], gz)
-    outputs = res.x_final @ C.T
-    setpoints = np.stack([problem.setpoint((n + 1) * Ts, horizon)
-                          for n in range(Nc)])
+        # d/dx_n enters X[n - 1]; interval 0 starts at the fixed x0
+        grad.X[:-1] += np.einsum("bij,bi->bj", sens_k[1:, :, :n_x], gz[1:])
+        grad.U += np.einsum("bij,bi->bj", sens_k[:, :, n_x:], gz)
 
     qdu_bar = problem.qdu_bar
-    du = np.empty((Nc, n_u))
-    du[0] = us[0] - problem.u_prev
-    du[1:] = us[1:] - us[:-1]
+    du = np.diff(w.U, axis=0, prepend=problem.u_prev[None])
     phi_du = 0.5 * float(np.einsum("bi,ij,bj->", du, qdu_bar, du))
-    G[:, :n_u] += du @ qdu_bar.T
-    G[:-1, :n_u] -= du[1:] @ qdu_bar.T
+    grad.U += du @ qdu_bar.T
+    grad.U[:-1] -= du[1:] @ qdu_bar.T
     return Evaluation(phi=phi_z + phi_du, phi_z=phi_z, phi_du=phi_du,
-                      grad=grad, c=c, A=list(res.sens_wrt_x0),
-                      B=list(res.sens_wrt_u), outputs=outputs,
-                      setpoints=setpoints)
+                      grad=grad.w, c=c, A=res.sens_wrt_x0, B=res.sens_wrt_u)
 
 
 def constraint_jacobian_transpose_times(ev, w, lam):
     """J_c(w)^T lam for the block-bidiagonal continuity Jacobian.
 
-    lam has shape (Nc, n_x); row n multiplies c_n = x_{n+1} - F_n(x_n, u_n).
+    lam has shape (Nc, n_x); row n multiplies c_n = x_{n+1} - F_n(x_n, u_n),
+    so u_n collects -B_n^T lam_n and x_{n+1} collects lam_n - A_{n+1}^T
+    lam_{n+1}.
     """
-    out = np.zeros_like(w.w)
-    Nc = w.Nc
-    for n in range(Nc):
-        out[w.u_slice(n)] -= ev.B[n].T @ lam[n]
-        out[w.x_slice(n + 1)] += lam[n]
-        if n + 1 <= Nc - 1:
-            out[w.x_slice(n + 1)] -= ev.A[n + 1].T @ lam[n + 1]
-    return out
+    out = DecisionVector.filled(0.0, w.n_x, w.n_u, w.Nc)
+    out.U[:] = -(lam[:, None] @ ev.B)[:, 0]
+    out.X[:] = lam
+    out.X[:-1] -= (lam[1:, None] @ ev.A[1:])[:, 0]
+    return out.w
 
 
 def simulate_decision_vector(problem, u_value, counters=None):
@@ -196,11 +170,11 @@ def simulate_decision_vector(problem, u_value, counters=None):
     x = np.asarray(problem.x0, float)
     u = np.full(m.n_u, float(u_value))
     for n in range(problem.Nc):
-        w.w[w.u_slice(n)] = u
+        w.U[n] = u
         res = integrate_interval(
             m, problem.tableau, problem.strategy, problem.newton,
             SensitivityMode.NONE, x, u, problem.d,
             n * problem.Ts, (n + 1) * problem.Ts, problem.N, counters)
         x = res.x_final
-        w.w[w.x_slice(n + 1)] = x
+        w.X[n] = x
     return w

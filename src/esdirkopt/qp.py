@@ -20,8 +20,8 @@ class QpProblem:
     lb <= p_u <= ub (p_x(0) = 0)."""
     H: np.ndarray
     g: np.ndarray
-    A: list
-    B: list
+    A: np.ndarray          # (Nc, n_x, n_x)
+    B: np.ndarray          # (Nc, n_x, n_u)
     e: np.ndarray          # (Nc, n_x)
     lb: np.ndarray         # (Nc, n_u) bounds on the input steps
     ub: np.ndarray
@@ -52,20 +52,21 @@ def condense(q):
     nu = Nc * n_u
     if q.H.shape != (nw, nw) or q.e.shape != (Nc, n_x):
         raise ContractViolation("QP blocks do not match the shooting structure")
-    Z = np.zeros((nw, nu))
-    y0 = np.zeros(nw)
+    # row blocks [p_u(n), p_x(n+1)] of p, as in the decision vector
+    Z = np.zeros((Nc, n_u + n_x, nu))
+    Z[:, :n_u] = np.eye(nu).reshape(Nc, n_u, nu)
+    y0 = np.zeros((Nc, n_u + n_x))
     # state step as affine function of the input steps
     G = np.zeros((n_x, nu))
     y = np.zeros(n_x)
     for n in range(Nc):
-        ou = n * (n_x + n_u)
-        Z[ou:ou + n_u, n * n_u:(n + 1) * n_u] = np.eye(n_u)
         G = q.A[n] @ G
-        G[:, n * n_u:(n + 1) * n_u] += q.B[n]
+        G.reshape(n_x, Nc, n_u)[:, n] += q.B[n]
         y = q.A[n] @ y + q.e[n] if n > 0 else q.e[n].copy()
-        ox = ou + n_u
-        Z[ox:ox + n_x] = G
-        y0[ox:ox + n_x] = y
+        Z[n, n_u:] = G
+        y0[n, n_u:] = y
+    Z = Z.reshape(nw, nu)
+    y0 = y0.ravel()
     H_red = Z.T @ q.H @ Z
     g_red = Z.T @ (q.g + q.H @ y0)
     return Z, y0, H_red, g_red
@@ -146,13 +147,10 @@ def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_active=None):
         H_red, g_red, lb, ub, qp_tol, max_iter, warm_active)
     p = Z @ qu + y0
     n_x, n_u, Nc = q.n_x, q.n_u, q.Nc
-    gfull = q.H @ p + q.g
-    lam = np.zeros((Nc, n_x))
-    for m in range(Nc, 0, -1):
-        ox = (m - 1) * (n_x + n_u) + n_u
-        lam[m - 1] = -gfull[ox:ox + n_x]
-        if m <= Nc - 1:
-            lam[m - 1] += q.A[m].T @ lam[m]
+    gfull = (q.H @ p + q.g).reshape(Nc, n_u + n_x)
+    lam = -gfull[:, n_u:]
+    for n in range(Nc - 2, -1, -1):
+        lam[n] += q.A[n + 1].T @ lam[n + 1]
     mu_lower = np.zeros(Nc * n_u)
     mu_upper = np.zeros(Nc * n_u)
     for i, side in working.items():

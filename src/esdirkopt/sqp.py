@@ -67,20 +67,19 @@ def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):
     Maximum of Lagrangian stationarity, continuity violation, bound
     violation, and complementarity of the bound multipliers.
     """
-    grad_l = ev.grad + constraint_jacobian_transpose_times(ev, w, lam)
-    u_all = np.concatenate([w.u(n) for n in range(w.Nc)])
-    lb = np.tile(problem.u_min, w.Nc)
-    ub = np.tile(problem.u_max, w.Nc)
-    for n in range(w.Nc):
-        sl = w.u_slice(n)
-        grad_l[sl] += (-mu_lower[n * w.n_u:(n + 1) * w.n_u]
-                       + mu_upper[n * w.n_u:(n + 1) * w.n_u])
-    stationarity = np.abs(grad_l).max()
+    grad_l = DecisionVector(
+        ev.grad + constraint_jacobian_transpose_times(ev, w, lam),
+        w.n_x, w.n_u, w.Nc)
+    mu_lower = mu_lower.reshape(w.U.shape)
+    mu_upper = mu_upper.reshape(w.U.shape)
+    grad_l.U += -mu_lower + mu_upper
+    u, lb, ub = w.U, problem.u_min, problem.u_max
+    stationarity = np.abs(grad_l.w).max()
     feasibility = np.abs(ev.c).max()
-    bound_viol = max(np.maximum(lb - u_all, 0.0).max(),
-                     np.maximum(u_all - ub, 0.0).max())
-    comp = max(np.abs(mu_lower * (u_all - lb)).max(),
-               np.abs(mu_upper * (ub - u_all)).max())
+    bound_viol = max(np.maximum(lb - u, 0.0).max(),
+                     np.maximum(u - ub, 0.0).max())
+    comp = max(np.abs(mu_lower * (u - lb)).max(),
+               np.abs(mu_upper * (ub - u)).max())
     return max(stationarity, feasibility, bound_viol, comp)
 
 
@@ -105,20 +104,16 @@ def objective_hessian(problem, reg=1e-6, seed_u=0.04):
     m = problem.model
     n_x, n_u, Nc = m.n_x, m.n_u, problem.Nc
     C = m.output_matrix()
-    nw = Nc * (n_x + n_u)
-    H = reg * np.eye(nw)
-    Hx = problem.Ts * C.T @ problem.Qz @ C
+    H = reg * np.eye(Nc * (n_u + n_x))
+    # Hb[n, :, k, :] is the block of H coupling interval n with interval k
+    Hb = H.reshape(Nc, n_u + n_x, Nc, n_u + n_x)
+    n = np.arange(Nc)
     qb = problem.qdu_bar
-    for n in range(Nc):
-        ox = n * (n_x + n_u) + n_u
-        H[ox:ox + n_x, ox:ox + n_x] += Hx
-        ou = n * (n_x + n_u)
-        H[ou:ou + n_u, ou:ou + n_u] += qb + seed_u * problem.Ts * np.eye(n_u)
-        if n + 1 < Nc:
-            ou2 = (n + 1) * (n_x + n_u)
-            H[ou2:ou2 + n_u, ou2:ou2 + n_u] += qb
-            H[ou:ou + n_u, ou2:ou2 + n_u] -= qb
-            H[ou2:ou2 + n_u, ou:ou + n_u] -= qb
+    Hb[n, n_u:, n, n_u:] += problem.Ts * C.T @ problem.Qz @ C
+    Hb[n[1:], :n_u, n[1:], :n_u] += qb
+    Hb[n, :n_u, n, :n_u] += qb + seed_u * problem.Ts * np.eye(n_u)
+    Hb[n[:-1], :n_u, n[1:], :n_u] -= qb
+    Hb[n[1:], :n_u, n[:-1], :n_u] -= qb
     return H
 
 
@@ -152,7 +147,6 @@ def solve_ocp(problem, settings, w0, counters=None):
     if counters is None:
         counters = WorkCounters()
     w = w0.copy()
-    n_u, Nc = w.n_u, w.Nc
     try:
         ev = evaluate(problem, w, counters)
     except EvaluationError:
@@ -162,31 +156,27 @@ def solve_ocp(problem, settings, w0, counters=None):
 
     H = objective_hessian(problem, settings.hessian_reg,
                           settings.hessian_seed_u)
-    lam = np.zeros((Nc, w.n_x))
-    mu_lower = np.zeros(Nc * n_u)
-    mu_upper = np.zeros(Nc * n_u)
+    lam = np.zeros(w.X.shape)
+    mu_lower = np.zeros(w.U.size)
+    mu_upper = np.zeros(w.U.size)
     mu_merit = 0.0
     qp_total = 0
     warm_active = None
     kkt = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
-    for it in range(settings.max_sqp_iter):
-        if kkt <= settings.tol_kkt:
-            return SqpResult(w_star=w, converged=True, kkt=kkt,
-                             sqp_iterations=it, qp_iterations_total=qp_total,
-                             counters=counters, objective=ev.phi)
-        u_flat = np.vstack([w.u(n) for n in range(Nc)])
+    it, reason = 0, None
+    while not kkt <= settings.tol_kkt:        # a NaN residual is not converged
+        if it == settings.max_sqp_iter:
+            reason = "IterationLimit"
+            break
+        it += 1
         qp = QpProblem(H=H, g=ev.grad, A=ev.A, B=ev.B, e=-ev.c,
-                       lb=problem.u_min[None, :] - u_flat,
-                       ub=problem.u_max[None, :] - u_flat,
-                       n_x=w.n_x, n_u=n_u, Nc=Nc)
+                       lb=problem.u_min - w.U, ub=problem.u_max - w.U,
+                       n_x=w.n_x, n_u=w.n_u, Nc=w.Nc)
         sol = solve_qp(qp, settings.tol_qp, settings.max_qp_iter, warm_active)
         qp_total += sol.iterations
         if sol.status != "Optimal":
-            return SqpResult(w_star=w, converged=False, kkt=kkt,
-                             sqp_iterations=it + 1,
-                             qp_iterations_total=qp_total, counters=counters,
-                             failure_reason="IterationLimit",
-                             objective=ev.phi)
+            reason = "IterationLimit"
+            break
         mult_norm = max(np.abs(sol.lambda_eq).max(initial=0.0),
                         np.abs(sol.mu_lower).max(initial=0.0),
                         np.abs(sol.mu_upper).max(initial=0.0))
@@ -196,10 +186,7 @@ def solve_ocp(problem, settings, w0, counters=None):
         if alpha is None:
             reason = "EvaluationFailure" if all_failed \
                 else "StepLengthBelowTolerance"
-            return SqpResult(w_star=w, converged=False, kkt=kkt,
-                             sqp_iterations=it + 1,
-                             qp_iterations_total=qp_total, counters=counters,
-                             failure_reason=reason, objective=ev.phi)
+            break
         # BFGS on the Lagrangian gradient change at fixed new multipliers
         grad_l_old = (ev.grad + constraint_jacobian_transpose_times(
             ev, w, sol.lambda_eq))
@@ -211,12 +198,7 @@ def solve_ocp(problem, settings, w0, counters=None):
         mu_lower, mu_upper = sol.mu_lower, sol.mu_upper
         warm_active = sol.active_set
         kkt = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
-    if kkt <= settings.tol_kkt:
-        return SqpResult(w_star=w, converged=True, kkt=kkt,
-                         sqp_iterations=settings.max_sqp_iter,
-                         qp_iterations_total=qp_total, counters=counters,
-                         objective=ev.phi)
-    return SqpResult(w_star=w, converged=False, kkt=kkt,
-                     sqp_iterations=settings.max_sqp_iter,
-                     qp_iterations_total=qp_total, counters=counters,
-                     failure_reason="IterationLimit", objective=ev.phi)
+    return SqpResult(w_star=w, converged=reason is None, kkt=kkt,
+                     sqp_iterations=it, qp_iterations_total=qp_total,
+                     counters=counters, failure_reason=reason,
+                     objective=ev.phi)

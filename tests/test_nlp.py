@@ -40,18 +40,38 @@ def perturbed_w(problem, seed=0):
     rng = np.random.default_rng(seed)
     w = DecisionVector.filled(0.0, 4, 2, problem.Nc)
     for n in range(problem.Nc):
-        w.w[w.u_slice(n)] = 300.0 + 30.0 * rng.standard_normal(2)
-        w.w[w.x_slice(n + 1)] = problem.x0 * (1.0 + 0.1 * rng.random(4))
+        w.U[n] = 300.0 + 30.0 * rng.standard_normal(2)
+        w.X[n] = problem.x0 * (1.0 + 0.1 * rng.random(4))
     return w
+
+
+def dense_constraint_jacobian(ev, n_x, n_u, Nc):
+    """J_c for c_n = x_{n+1} - A_n x_n - B_n u_n, assembled block by block
+    in the layout [u_0, x_1, u_1, x_2, ...]."""
+    J = np.zeros((Nc * n_x, Nc * (n_u + n_x)))
+    for n in range(Nc):
+        rows = slice(n * n_x, (n + 1) * n_x)
+        o = n * (n_u + n_x)                 # u_n starts here, x_n ends here
+        J[rows, o:o + n_u] = -ev.B[n]
+        J[rows, o + n_u:o + n_u + n_x] = np.eye(n_x)
+        if n > 0:
+            J[rows, o - n_x:o] = -ev.A[n]
+    return J
 
 
 def test_decision_vector_layout():
     w = DecisionVector(np.arange(12, dtype=float), 2, 2, 3)
-    assert np.array_equal(w.u(0), [0.0, 1.0])
-    assert np.array_equal(w.x(1), [2.0, 3.0])
-    assert np.array_equal(w.u(2), [8.0, 9.0])
-    assert np.array_equal(w.x(3), [10.0, 11.0])
-    assert w.w[w.u_slice(1)] is not w.u(1)
+    # w = [u_0, x_1, u_1, x_2, u_2, x_3]
+    assert np.array_equal(w.U, [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]])
+    assert np.array_equal(w.X, [[2.0, 3.0], [6.0, 7.0], [10.0, 11.0]])
+    w.U[1] = [-1.0, -2.0]
+    w.X[2, 0] = -3.0
+    w.U[:, 1] += 100.0
+    assert np.array_equal(w.w, [0.0, 101.0, 2.0, 3.0, -1.0, 98.0, 6.0, 7.0,
+                                8.0, 109.0, -3.0, 11.0])
+    c = w.copy()
+    c.X[0] = 0.0
+    assert w.X[0, 0] == 2.0 and c.w[2] == 0.0
     with pytest.raises(ValueError):
         DecisionVector(np.zeros(11), 2, 2, 3)
 
@@ -61,6 +81,10 @@ def test_setpoint_switch():
     assert np.array_equal(SETPOINTS(199.9, 400.0), [20.0, 30.0])
     assert np.array_equal(SETPOINTS(200.0, 400.0), [30.0, 20.0])
     assert np.array_equal(SETPOINTS(400.0, 400.0), [30.0, 20.0])
+    # an array of times gives one row per time, switching at horizon/2
+    rows = SETPOINTS(np.array([0.0, 199.9, 200.0, 400.0]), 400.0)
+    assert np.array_equal(rows, [[20.0, 30.0], [20.0, 30.0],
+                                 [30.0, 20.0], [30.0, 20.0]])
 
 
 def test_simulated_vector_is_feasible():
@@ -108,18 +132,19 @@ def test_constraint_blocks_match_finite_differences():
     # c_n = x_{n+1} - F_n(x_n, u_n): A_n = dF/dx_n, B_n = dF/du_n
     n = 1
     for j in range(4):
-        eps = 1e-5 * (1.0 + abs(w.w[w.x_slice(n)][j]))
-        vp, vm = w.w.copy(), w.w.copy()
-        vp[w.x_slice(n)] = vp[w.x_slice(n)] + eps * np.eye(4)[j]
-        vm[w.x_slice(n)] = vm[w.x_slice(n)] - eps * np.eye(4)[j]
-        fd = (residuals(vp)[n] - residuals(vm)[n]) / (2.0 * eps)
+        # x_n is X[n - 1]
+        eps = 1e-5 * (1.0 + abs(w.X[n - 1, j]))
+        vp, vm = w.copy(), w.copy()
+        vp.X[n - 1, j] += eps
+        vm.X[n - 1, j] -= eps
+        fd = (residuals(vp.w)[n] - residuals(vm.w)[n]) / (2.0 * eps)
         assert np.allclose(-ev.A[n][:, j], fd, rtol=1e-5, atol=1e-7)
     for j in range(2):
-        eps = 1e-5 * (1.0 + abs(w.w[w.u_slice(n)][j]))
-        vp, vm = w.w.copy(), w.w.copy()
-        vp[w.u_slice(n)] = vp[w.u_slice(n)] + eps * np.eye(2)[j]
-        vm[w.u_slice(n)] = vm[w.u_slice(n)] - eps * np.eye(2)[j]
-        fd = (residuals(vp)[n] - residuals(vm)[n]) / (2.0 * eps)
+        eps = 1e-5 * (1.0 + abs(w.U[n, j]))
+        vp, vm = w.copy(), w.copy()
+        vp.U[n, j] += eps
+        vm.U[n, j] -= eps
+        fd = (residuals(vp.w)[n] - residuals(vm.w)[n]) / (2.0 * eps)
         assert np.allclose(-ev.B[n][:, j], fd, rtol=1e-5, atol=1e-7)
 
 
@@ -130,14 +155,7 @@ def test_jacobian_transpose_product():
     Nc, n_x, n_u = problem.Nc, 4, 2
     lam = np.arange(Nc * n_x, dtype=float).reshape(Nc, n_x) / 10.0
     out = constraint_jacobian_transpose_times(ev, w, lam)
-    # dense reference: assemble J with c_n = x_{n+1} - A_n x_n - B_n u_n
-    J = np.zeros((Nc * n_x, Nc * (n_x + n_u)))
-    for n in range(Nc):
-        rows = slice(n * n_x, (n + 1) * n_x)
-        J[rows, w.x_slice(n + 1)] = np.eye(n_x)
-        J[rows, w.u_slice(n)] = -ev.B[n]
-        if n > 0:
-            J[rows, w.x_slice(n)] = -ev.A[n]
+    J = dense_constraint_jacobian(ev, n_x, n_u, Nc)
     assert np.allclose(out, J.T @ lam.ravel(), rtol=0, atol=1e-12)
 
 
@@ -151,12 +169,12 @@ def test_evaluation_matches_single_intervals(mode):
     cb, cs = WorkCounters(), WorkCounters()
     ev = evaluate(problem, w, cb)
     for n in range(problem.Nc):
-        x_n = problem.x0 if n == 0 else w.x(n)
+        x_n = problem.x0 if n == 0 else w.X[n - 1]
         res = integrate_interval(
             problem.model, problem.tableau, problem.strategy, problem.newton,
-            mode, x_n, w.u(n), problem.d, n * problem.Ts,
+            mode, x_n, w.U[n], problem.d, n * problem.Ts,
             (n + 1) * problem.Ts, problem.N, cs)
-        assert np.allclose(ev.c[n], w.x(n + 1) - res.x_final,
+        assert np.allclose(ev.c[n], w.X[n] - res.x_final,
                            rtol=0, atol=1e-9)
         assert np.allclose(ev.A[n], res.sens.wrt_x0, rtol=0, atol=1e-13)
         assert np.allclose(ev.B[n], res.sens.wrt_u, rtol=0, atol=1e-11)
@@ -166,7 +184,7 @@ def test_evaluation_matches_single_intervals(mode):
 def test_evaluation_error_carries_interval():
     problem = small_problem()
     w = perturbed_w(problem, seed=4)
-    w.w[w.u_slice(2)] = -1e5       # drains the tanks below zero mass
+    w.U[2] = -1e5                  # drains the tanks below zero mass
     with pytest.raises(EvaluationError) as err:
         evaluate(problem, w, WorkCounters())
     assert err.value.interval == 2
@@ -193,7 +211,7 @@ def test_singular_iteration_matrix_carries_interval(mode):
     # the still-iterating rows (base) both name the interval
     problem = small_problem(mode=mode, model=SingularAboveLimit(15000.0))
     w = perturbed_w(problem, seed=5)
-    w.w[w.x_slice(2)][0] = 20000.0     # interval 2 starts above the limit
+    w.X[1, 0] = 20000.0        # interval 2 starts at x_2 above the limit
     with pytest.raises(EvaluationError) as err:
         evaluate(problem, w, WorkCounters())
     assert isinstance(err.value.cause, SingularMatrix)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esdirkopt.nlp import DecisionVector
 from esdirkopt.qp import QpProblem, condense, solve_qp
 
 
@@ -9,8 +10,8 @@ def random_problem(rng, Nc=4, n_x=3, n_u=2, bound_scale=10.0):
     M = rng.standard_normal((nw, nw))
     H = M @ M.T + nw * np.eye(nw)
     g = rng.standard_normal(nw)
-    A = [rng.standard_normal((n_x, n_x)) * 0.5 for _ in range(Nc)]
-    B = [rng.standard_normal((n_x, n_u)) for _ in range(Nc)]
+    A = np.stack([rng.standard_normal((n_x, n_x)) * 0.5 for _ in range(Nc)])
+    B = np.stack([rng.standard_normal((n_x, n_u)) for _ in range(Nc)])
     e = rng.standard_normal((Nc, n_x))
     lb = np.full((Nc, n_u), -bound_scale)
     ub = np.full((Nc, n_u), bound_scale)
@@ -73,9 +74,7 @@ def test_active_bounds_and_multipliers():
     q = random_problem(rng, bound_scale=0.05)
     sol = solve_qp(q)
     assert sol.status == "Optimal"
-    u_steps = np.concatenate([
-        sol.p[n * (q.n_x + q.n_u):n * (q.n_x + q.n_u) + q.n_u]
-        for n in range(q.Nc)])
+    u_steps = DecisionVector(sol.p, q.n_x, q.n_u, q.Nc).U.ravel()
     assert np.all(u_steps >= q.lb.ravel() - 1e-10)
     assert np.all(u_steps <= q.ub.ravel() + 1e-10)
     assert np.any(np.isclose(np.abs(u_steps), 0.05, atol=1e-10))
@@ -97,9 +96,7 @@ def test_bounded_solution_optimal_over_feasible_samples():
     def reduced_obj(qu):
         return 0.5 * qu @ H_red @ qu + g_red @ qu
 
-    qu_star = np.concatenate([
-        sol.p[n * (q.n_x + q.n_u):n * (q.n_x + q.n_u) + q.n_u]
-        for n in range(q.Nc)])
+    qu_star = DecisionVector(sol.p, q.n_x, q.n_u, q.Nc).U.ravel()
     f_star = reduced_obj(qu_star)
     for _ in range(200):
         trial = rng.uniform(-0.1, 0.1, size=q.Nc * q.n_u)

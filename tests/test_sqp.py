@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_nlp import dense_constraint_jacobian
 
 from esdirkopt.bench import RunConfig, make_problem, sqp_settings
 from esdirkopt.integrator import WorkCounters
@@ -57,6 +60,27 @@ def test_bfgs_secant_equation_when_undamped():
     assert np.allclose(Hn @ s, y, rtol=0, atol=1e-12)
 
 
+def reference_objective_hessian(problem, reg, seed_u):
+    """objective_hessian assembled one interval at a time, adding the
+    blocks in the same order."""
+    n_x, n_u, Nc = 4, 2, problem.Nc
+    C = problem.model.output_matrix()
+    H = reg * np.eye(Nc * (n_x + n_u))
+    Hx = problem.Ts * C.T @ problem.Qz @ C
+    qb = problem.qdu_bar
+    for n in range(Nc):
+        ox = n * (n_x + n_u) + n_u
+        H[ox:ox + n_x, ox:ox + n_x] += Hx
+        ou = n * (n_x + n_u)
+        H[ou:ou + n_u, ou:ou + n_u] += qb + seed_u * problem.Ts * np.eye(n_u)
+        if n + 1 < Nc:
+            ou2 = (n + 1) * (n_x + n_u)
+            H[ou2:ou2 + n_u, ou2:ou2 + n_u] += qb
+            H[ou:ou + n_u, ou2:ou2 + n_u] -= qb
+            H[ou2:ou2 + n_u, ou:ou + n_u] -= qb
+    return H
+
+
 def test_objective_hessian_structure():
     problem = make_problem(small_config())
     H = objective_hessian(problem)
@@ -67,6 +91,10 @@ def test_objective_hessian_structure():
     # neighbouring input blocks carry the rate-penalty coupling
     ou, ou2 = 0, n_u + n_x
     assert np.allclose(H[ou:ou + n_u, ou2:ou2 + n_u], -qb, rtol=0, atol=0)
+    for reg, seed_u in ((1e-6, 0.04), (0.3, 1.7)):
+        assert np.array_equal(objective_hessian(problem, reg, seed_u),
+                              reference_objective_hessian(problem, reg,
+                                                          seed_u))
 
 
 def test_kkt_violation_components():
@@ -77,18 +105,67 @@ def test_kkt_violation_components():
     lam = np.zeros((config.Nc, 4))
     mu = np.zeros(config.Nc * 2)
     base = kkt_violation(ev, w, problem, lam, mu, mu)
+    assert base == pytest.approx(
+        max(reference_kkt(ev, w, problem, lam, mu, mu).values()),
+        rel=1e-13, abs=0)
     # at least the continuity residual and the gradient must show up
     assert base >= np.abs(ev.c).max()
     assert base >= np.abs(ev.grad).max()
     # an infeasible input raises the bound-violation component
     w2 = w.copy()
-    w2.w[w2.u_slice(3)] = problem.u_min - 7.0
+    w2.U[3] = problem.u_min - 7.0
     ev2 = evaluate(problem, w2, WorkCounters())
     assert kkt_violation(ev2, w2, problem, lam, mu, mu) >= 7.0
     # a multiplier on an inactive bound raises complementarity
     mu2 = mu.copy()
     mu2[0] = 1.0                      # u_0 = 300, far from its lower bound
     assert kkt_violation(ev, w, problem, lam, mu2, mu) >= 300.0
+
+
+def reference_kkt(ev, w, problem, lam, mu_lower, mu_upper):
+    """The components of kkt_violation, from the dense continuity Jacobian
+    and one loop over the intervals."""
+    n_x, n_u, Nc = w.n_x, w.n_u, w.Nc
+    J = dense_constraint_jacobian(ev, n_x, n_u, Nc)
+    grad_l = ev.grad + J.T @ lam.ravel()
+    u_all = np.zeros(Nc * n_u)
+    for n in range(Nc):
+        o = n * (n_u + n_x)
+        block = slice(n * n_u, (n + 1) * n_u)
+        grad_l[o:o + n_u] += mu_upper[block] - mu_lower[block]
+        u_all[block] = w.w[o:o + n_u]
+    lb = np.tile(problem.u_min, Nc)
+    ub = np.tile(problem.u_max, Nc)
+    return {"stationarity": np.abs(grad_l).max(),
+            "feasibility": np.abs(ev.c).max(),
+            "bounds": max(np.maximum(lb - u_all, 0.0).max(),
+                          np.maximum(u_all - ub, 0.0).max()),
+            "complementarity": max(np.abs(mu_lower * (u_all - lb)).max(),
+                                   np.abs(mu_upper * (ub - u_all)).max())}
+
+
+@pytest.mark.parametrize("dominant, lam_scale, mu_lower_scale, mu_upper_scale",
+                         [("feasibility", 1.0, 1.0, 1.0),
+                          ("stationarity", 1e6, 1.0, 1.0),
+                          ("complementarity", 1.0, 1e5, 1.0),
+                          ("complementarity", 1.0, 1.0, 1e5)])
+def test_kkt_violation_matches_dense_reference(dominant, lam_scale,
+                                               mu_lower_scale, mu_upper_scale):
+    config = small_config()
+    problem = make_problem(config)
+    rng = np.random.default_rng(7)
+    w = DecisionVector.filled(300.0, 4, 2, config.Nc)
+    w.U[:] += 30.0 * rng.standard_normal(w.U.shape)
+    w.U[3] = problem.u_max + 1.0                 # one bound violated
+    ev = evaluate(problem, w, WorkCounters())
+    lam = lam_scale * rng.standard_normal(w.X.shape)
+    mu_lower = mu_lower_scale * rng.random(w.U.size)
+    mu_upper = mu_upper_scale * rng.random(w.U.size)
+    ref = reference_kkt(ev, w, problem, lam, mu_lower, mu_upper)
+    assert max(ref, key=ref.get) == dominant
+    assert ref["bounds"] == 1.0
+    value = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
+    assert value == pytest.approx(max(ref.values()), rel=1e-13, abs=0)
 
 
 def test_solver_converges_and_respects_bounds():
@@ -102,20 +179,8 @@ def test_solver_converges_and_respects_bounds():
     assert np.isfinite(result.objective)
     ev = evaluate(problem, result.w_star, WorkCounters())
     assert np.abs(ev.c).max() <= config.tol_sqp
-    for n in range(config.Nc):
-        u = result.w_star.u(n)
-        assert np.all(u >= problem.u_min - 1e-9)
-        assert np.all(u <= problem.u_max + 1e-9)
-
-
-def test_iteration_limit_reported():
-    config = small_config(max_sqp_iter=2)
-    problem = make_problem(config)
-    result = solve_ocp(problem, sqp_settings(config),
-                       DecisionVector.filled(300.0, 4, 2, config.Nc))
-    assert not result.converged
-    assert result.failure_reason == "IterationLimit"
-    assert result.sqp_iterations == 2
+    assert np.all(result.w_star.U >= problem.u_min - 1e-9)
+    assert np.all(result.w_star.U <= problem.u_max + 1e-9)
 
 
 def test_counters_accumulate_across_evaluations():
@@ -126,3 +191,27 @@ def test_counters_accumulate_across_evaluations():
     assert result.counters.f_evals > 0
     assert result.counters.lu_factorizations > 0
     assert result.qp_iterations_total >= result.sqp_iterations
+
+
+@pytest.mark.parametrize("settings, init, iterations, reason", [
+    ({}, 300.0, 26, None),
+    ({"max_sqp_iter": 26}, 300.0, 26, None),
+    ({"max_sqp_iter": 2}, 300.0, 2, "IterationLimit"),
+    ({"max_sqp_iter": 0}, 300.0, 0, "IterationLimit"),
+    ({"max_qp_iter": 0}, 300.0, 1, "IterationLimit"),
+    ({"tol_step": 0.99, "armijo_c1": 0.49}, 300.0, 4,
+     "StepLengthBelowTolerance"),
+    ({"tol_step": 2.0}, 300.0, 1, "EvaluationFailure"),
+    ({}, -1e5, 0, "EvaluationFailure"),
+], ids=["converged", "converged-at-limit", "sqp-limit", "no-iterations",
+        "qp-limit", "short-step", "no-trial-step", "first-evaluation"])
+def test_solver_exits(settings, init, iterations, reason):
+    # convergence at the top of iteration k counts k iterations, a QP or
+    # line-search failure in iteration k counts k + 1
+    config = small_config()
+    result = solve_ocp(make_problem(config),
+                       replace(sqp_settings(config), **settings),
+                       DecisionVector.filled(init, 4, 2, config.Nc))
+    assert result.sqp_iterations == iterations
+    assert result.failure_reason == reason
+    assert result.converged == (reason is None)
