@@ -7,8 +7,10 @@ Newton round evaluates the model once for all rows still iterating, and a
 single interval is the batch of one row. Two iteration matrix strategies
 are supported: one factorization of M_k = I - h*gamma*df/dx(x_k) per
 step, or a fresh Jacobian and factorization at every Newton iterate (the
-benchmark base case). Work counters track every model evaluation and
-factorization exactly, row by row.
+benchmark base case). With a sensitivity mode, each stage is
+differentiated as it is solved (see ``sensitivity``), so a step keeps no
+record of its Newton rounds. Work counters track every model evaluation
+and factorization exactly, row by row.
 """
 
 import enum
@@ -35,15 +37,14 @@ class NewtonSettings:
     abs: float = 1e-8
     rel: float = 1e-8
     max_iterations: int = 20
-    min_iterations: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         if self.abs <= 0 or self.rel <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < self.min_iterations:
-            raise ValueError("max_iterations below min_iterations")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -73,24 +74,23 @@ def _check_mode_strategy(mode, strategy):
 
 @dataclass
 class IntervalResult:
-    """integrate_interval's result; ``sens`` is None without sensitivities."""
-    x_final: np.ndarray
-    sens: SensitivityPair
-    trajectory: np.ndarray
+    """The result of integrate_intervals_batch, one row per interval, or of
+    integrate_interval with the batch axis dropped.
 
-
-@dataclass
-class BatchIntervalResult:
-    """integrate_intervals_batch's result.
-
-    ``step_sens`` holds the packed [d/dx0 | d/du] sensitivity after each
-    step, one (B, n_x, n_x + n_u) array per step.
+    ``step_sens`` holds the packed [d/dx0 | d/du] sensitivities after each
+    step, one (B, n_x, n_x + n_u) array per step and none without a
+    sensitivity mode; ``sens`` views the last of them.
     """
     x_final: np.ndarray          # (B, n_x)
-    sens_wrt_x0: np.ndarray      # (B, n_x, n_x), None without sensitivities
-    sens_wrt_u: np.ndarray       # (B, n_x, n_u)
     trajectory: np.ndarray       # (B, n_steps + 1, n_x)
     step_sens: list
+
+    @property
+    def sens(self):
+        """SensitivityPair of the final state, None without sensitivities."""
+        if not self.step_sens:
+            return None
+        return SensitivityPair(self.step_sens[-1], self.x_final.shape[-1])
 
 
 def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
@@ -102,23 +102,19 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
     through the steps; stage value predictors warm-start every step after
     the first. The rows are independent: each makes the Newton iterations,
     and adds to the counters the work, that it would make alone. Requires an
-    autonomous model (see ``model.OdeModel``) and min_iterations >= 1;
-    raises on the first row that diverges, leaves the model domain or
-    meets a singular iteration matrix.
+    autonomous model (see ``model.OdeModel``); raises on the first row that
+    diverges, leaves the model domain or meets a singular iteration matrix.
     """
     _check_mode_strategy(mode, strategy)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if dt <= 0:
         raise ValueError("interval length must be positive")
-    if settings.min_iterations < 1:
-        raise ContractViolation("the integrator requires min_iterations >= 1")
     x = np.asarray(x_0, float).copy()
     u = np.asarray(u, float)
     nb = x.shape[0]
     n_x, n_u = model.n_x, model.n_u
     h = dt / n_steps
-    with_sens = mode is not SensitivityMode.NONE
     svp = svp_coefficients(tab, 1.0) if n_steps > 1 else None
 
     sens = np.tile(np.hstack((np.eye(n_x), np.zeros((n_x, n_u)))),
@@ -131,15 +127,11 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
         prev = esdirk_step(model, tab, strategy, settings, mode,
                            x, sens, u, d, h, prev, counters, svp)
         x = prev["x_next"]
-        if with_sens:
+        if mode is not SensitivityMode.NONE:
             sens = prev["sens_next"]
             step_sens.append(sens)
         traj[:, k + 1] = x
-    return BatchIntervalResult(
-        x_final=x,
-        sens_wrt_x0=sens[:, :, :n_x].copy() if with_sens else None,
-        sens_wrt_u=sens[:, :, n_x:].copy() if with_sens else None,
-        trajectory=traj, step_sens=step_sens)
+    return IntervalResult(x_final=x, trajectory=traj, step_sens=step_sens)
 
 
 def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
@@ -150,11 +142,9 @@ def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
     res = integrate_intervals_batch(
         model, tab, strategy, settings, mode, np.asarray(x_0, float)[None],
         np.asarray(u, float)[None], d, t_f - t_0, n_steps, counters)
-    sens = None
-    if res.sens_wrt_x0 is not None:
-        sens = SensitivityPair(res.sens_wrt_x0[0], res.sens_wrt_u[0])
-    return IntervalResult(x_final=res.x_final[0], sens=sens,
-                          trajectory=res.trajectory[0])
+    return IntervalResult(x_final=res.x_final[0],
+                          trajectory=res.trajectory[0],
+                          step_sens=[sens[0] for sens in res.step_sens])
 
 
 def _remap_batch_row(exc, rows):
@@ -171,7 +161,9 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
     matrix per row, and u the (B, n_u) inputs. ``prev`` is the previous
     step's record, whose stages the stage value predictors ``svp`` extend,
     or None for the trivial predictor X_i^0 = x_k. A row leaves the Newton
-    loop of a stage as soon as its scaled residual is below tau.
+    loop of a stage as soon as its scaled residual is below tau, after at
+    least one update however good its predictor. The stage sensitivities
+    are propagated stage by stage next to the states (see ``sensitivity``).
 
     Returns the step record, a dict holding ``x_next``, the converged
     ``stages``, the (B, s-1) Newton iteration counts ``newton_counts`` and,
@@ -190,46 +182,48 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
 
     jx_k, ju_k = model.jacobians_batch(x_k)
     counters.jac_x_evals += nb
-    stage_jx = [jx_k] + [None] * (s - 1)
-    stage_ju = [None] * s
-    if with_sens:
-        stage_ju[0] = ju_k
-        counters.jac_u_evals += nb
-
-    factors = None
     if reuse:
         factors = linalg.lu_factorize_batch(eye - hg * jx_k)
         counters.lu_factorizations += nb
 
-    # stage predictors (and their derivatives for the iterated replay)
-    sens_init = None
+    # stage predictors (and their derivatives for the iterated mode)
     if prev is not None:
         predictions = predict_stages(svp, prev["x_start"], prev["stages"])
         if iterated:
-            sens_init = predict_stages(svp, prev["sens_in"],
-                                       prev["stage_sens"])
+            sens_predictions = predict_stages(svp, prev["sens_in"],
+                                              prev["stage_sens"])
     else:
         predictions = [x_k.copy() for _ in range(s - 1)]
         if iterated:
-            sens_init = [sens_k.copy() for _ in range(s - 1)]
+            sens_predictions = [sens_k.copy() for _ in range(s - 1)]
 
     f_vals = [model.f_batch(x_k, u, d)]
     counters.f_evals += nb
+    if with_sens:
+        counters.jac_u_evals += nb
+        jx_i, ju_i, sens_i = jx_k, ju_k, sens_k
 
     stages = []
+    stage_sens = []
     stage_counts = []
-    newton_rounds = []
+    d_vals = []                      # packed dF_j = df/dx S_j + [0 | df/du]
     for idx in range(s - 1):
         i = idx + 2                      # 1-based stage index
         psi_i = x_k.copy()
         for j in range(i - 1):
             psi_i += h * tab.a[i - 1, j] * f_vals[j]
+        if with_sens:
+            d_vals.append(jx_i @ sens_i)     # of the previous stage
+            d_vals[-1][:, :, n_x:] += ju_i
+            dpsi_i = sens_k.copy()
+            for j in range(i - 1):
+                dpsi_i += h * tab.a[i - 1, j] * d_vals[j]
         x_it = predictions[idx].copy()
         f_conv = np.empty_like(x_k)
         counts = np.zeros(nb, dtype=int)
         active = np.arange(nb)
-        rounds = []                      # iterated: (rows, df/dx, df/du)
         if iterated:
+            sens_it = sens_predictions[idx].copy()
             jx_conv = np.empty((nb, n_x, n_x))
             ju_conv = np.empty((nb, n_x, n_u))
         l = 0
@@ -241,7 +235,7 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
                 raise _remap_batch_row(exc, active)
             counters.f_evals += active.size
             r = xa - hg * fa - psi_i[active]
-            if l >= settings.min_iterations:
+            if l > 0:
                 denom = np.maximum(settings.abs, settings.rel * np.abs(xa))
                 done = np.max(np.abs(r) / denom, axis=1) < settings.tau
             else:
@@ -268,14 +262,15 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
                         counters.lu_factorizations += upd.size
                 except (DomainError, SingularMatrix) as exc:
                     raise _remap_batch_row(exc, upd)
-                if iterated:
-                    counters.jac_u_evals += upd.size
-                    rounds.append((upd, jx_it, ju_it))
-                    jx_conv[upd] = jx_it
-                    ju_conv[upd] = ju_it
             if reuse:
                 fac = factors.rows(upd)
             x_it[upd] = x_it[upd] - linalg.lu_solve_batch(fac, r[cont])
+            if iterated:
+                counters.jac_u_evals += upd.size
+                sens_it[upd] = iterated_propagate(sens_it[upd], jx_it, ju_it,
+                                                  dpsi_i[upd], fac, hg)
+                jx_conv[upd] = jx_it
+                ju_conv[upd] = ju_it
             counters.newton_iterations += upd.size
             counts[upd] += 1
             active = upd
@@ -284,29 +279,33 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
         stages.append(x_it)
         f_vals.append(f_conv)
         stage_counts.append(counts)
-        if not reuse:
-            # one per-stage Jacobian update at the converged value beyond
-            # the per-iteration ones: the refactorizing strategy cannot
-            # share the step-start Jacobian with its predictor-based
-            # iteration matrices
-            stage_jx[i - 1], _ = model.jacobians_batch(x_it)
-            counters.jac_x_evals += nb
         if iterated:
             # converged-stage Jacobians: each row's last Newton round
-            stage_jx[i - 1] = jx_conv
-            stage_ju[i - 1] = ju_conv
-            newton_rounds.append(rounds)
+            jx_i, ju_i, sens_i = jx_conv, ju_conv, sens_it
+        elif with_sens or not reuse:
+            # one Jacobian evaluation at the converged stage serves the
+            # direct and base sensitivity solves, and the refactorizing
+            # strategy's per-stage Jacobian update (it cannot share the
+            # step-start Jacobian with its predictor-based iteration
+            # matrices); the direct mode counts df/dx only where later
+            # stages use it
+            jx_i, ju_i = model.jacobians_batch(x_it)
+            if not reuse or idx < s - 2:
+                counters.jac_x_evals += nb
+            if with_sens:
+                counters.jac_u_evals += nb
+                if reuse:
+                    fac = factors
+                else:
+                    fac = linalg.lu_factorize_batch(eye - hg * jx_i)
+                    counters.lu_factorizations += nb
+                sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
+        if with_sens:
+            stage_sens.append(sens_i)
 
     rec = {"x_start": x_k, "x_next": stages[-1], "stages": stages,
-           "newton_counts": np.stack(stage_counts, axis=1),
-           "sens_in": sens_k, "stage_jx": stage_jx, "stage_ju": stage_ju,
-           "factors": factors, "sens_init": sens_init,
-           "newton_rounds": newton_rounds}
+           "newton_counts": np.stack(stage_counts, axis=1)}
     if with_sens:
-        if iterated:
-            stage_sens = iterated_propagate(rec, tab, h)
-        else:
-            stage_sens = direct_propagate(rec, model, tab, h, mode, counters)
-        rec["stage_sens"] = stage_sens
-        rec["sens_next"] = stage_sens[-1]
+        rec.update(sens_in=sens_k, stage_sens=stage_sens,
+                   sens_next=stage_sens[-1])
     return rec

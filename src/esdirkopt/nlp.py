@@ -141,8 +141,10 @@ def evaluate(problem, w, counters):
     phi_du = 0.5 * float(np.einsum("bi,ij,bj->", du, qdu_bar, du))
     grad.U += du @ qdu_bar.T
     grad.U[:-1] -= du[1:] @ qdu_bar.T
+    # contiguous blocks: products with strided views differ in the last bits
     return Evaluation(phi=phi_z + phi_du, phi_z=phi_z, phi_du=phi_du,
-                      grad=grad.w, c=c, A=res.sens_wrt_x0, B=res.sens_wrt_u)
+                      grad=grad.w, c=c, A=res.sens.wrt_x0.copy(),
+                      B=res.sens.wrt_u.copy())
 
 
 def constraint_jacobian_transpose_times(ev, w, lam):

@@ -57,8 +57,9 @@ def bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
         theta = (1.0 - damping) * sHs / (sHs - sy)
         y = theta * y + (1.0 - theta) * Hs
         sy = s @ y
-    Hn = H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / sy
-    return 0.5 * (Hn + Hn.T)
+    # each outer product is exactly symmetric (IEEE products commute), so
+    # a symmetric H stays symmetric bit for bit
+    return H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / sy
 
 
 def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):

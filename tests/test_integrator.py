@@ -87,17 +87,63 @@ def test_linear_model_convergence_order(method, order):
     assert np.all(rates > order - 0.25)
 
 
-def test_frozen_terminal_state_esdirk23():
-    res, counters = run_qts("ESDIRK23", NewtonStrategy.REUSE_PER_STEP,
-                            SensitivityMode.ITERATED)
-    expected = np.array([8000.271319323485, 11619.27306711874,
-                         1843.1845763673257, 2097.278340600137])
-    assert np.allclose(res.x_final, expected, rtol=1e-13, atol=0)
-    assert counters.lu_factorizations == 10
-    assert counters.f_evals == 72
-    assert counters.jac_x_evals == 52
-    assert counters.jac_u_evals == 52
-    assert counters.newton_iterations == 42
+#: ESDIRK23, 10 steps: d x_final / d(x0, u) and the counters of each mode
+FROZEN = {
+    SensitivityMode.ITERATED: (
+        NewtonStrategy.REUSE_PER_STEP,
+        [[0.8538073231454028, 0.0, 0.2840613287751059, 0.0],
+         [0.0, 0.8780092422789403, 0.0, 0.27900440672441157],
+         [0.0, 0.0, 0.6902966829580363, 0.0],
+         [0.0, 0.0, 0.0, 0.700171835290983]],
+        [[5.5518337476769615, 0.4442689795437395],
+         [0.5715002522177987, 6.5645128746892665],
+         [0.0, 2.530338047823963],
+         [3.4013825294616753, 0.0]],
+        {"f_evals": 72, "jac_x_evals": 52, "jac_u_evals": 52,
+         "lu_factorizations": 10, "newton_iterations": 42}),
+    SensitivityMode.DIRECT: (
+        NewtonStrategy.REUSE_PER_STEP,
+        [[0.8537075082766371, 0.0, 0.2861039610052028, 0.0],
+         [0.0, 0.8779781991141282, 0.0, 0.28149974100588415],
+         [0.0, 0.0, 0.6879976450113955, 0.0],
+         [0.0, 0.0, 0.0, 0.697431657118589]],
+        [[5.551455662395413, 0.4475088642807631],
+         [0.5765428387646612, 6.564356006375318],
+         [0.0, 2.526834416950628],
+         [3.39601550225153, 0.0]],
+        {"f_evals": 72, "jac_x_evals": 20, "jac_u_evals": 30,
+         "lu_factorizations": 10, "newton_iterations": 42}),
+    SensitivityMode.BASE_DIRECT: (
+        NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
+        [[0.8538073230488373, 0.0, 0.28406132710010706, 0.0],
+         [0.0, 0.8780092421928966, 0.0, 0.2790044041078345],
+         [0.0, 0.0, 0.6902966848068361, 0.0],
+         [0.0, 0.0, 0.0, 0.7001718381790414]],
+        [[5.551833747425097, 0.44426897712251384],
+         [0.5715002476393705, 6.564512874445462],
+         [0.0, 2.530338050413266],
+         [3.4013825343974644, 0.0]],
+        {"f_evals": 52, "jac_x_evals": 52, "jac_u_evals": 30,
+         "lu_factorizations": 42, "newton_iterations": 22}),
+}
+
+
+@pytest.mark.parametrize("mode", list(FROZEN), ids=lambda m: m.value)
+def test_frozen_terminal_state_esdirk23(mode):
+    strategy, wrt_x0, wrt_u, work = FROZEN[mode]
+    res, counters = run_qts("ESDIRK23", strategy, mode)
+    if mode is SensitivityMode.ITERATED:
+        expected = np.array([8000.271319323485, 11619.27306711874,
+                             1843.1845763673257, 2097.278340600137])
+        assert np.allclose(res.x_final, expected, rtol=1e-13, atol=0)
+        assert counters.lu_factorizations == 10
+        assert counters.f_evals == 72
+        assert counters.jac_x_evals == 52
+        assert counters.jac_u_evals == 52
+        assert counters.newton_iterations == 42
+    assert np.allclose(res.sens.wrt_x0, wrt_x0, rtol=1e-13, atol=0)
+    assert np.allclose(res.sens.wrt_u, wrt_u, rtol=1e-13, atol=0)
+    assert counters.as_dict() == work
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
@@ -165,12 +211,19 @@ def test_min_one_newton_iteration():
 
 
 def test_newton_divergence():
-    settings = NewtonSettings(max_iterations=1, min_iterations=1)
+    settings = NewtonSettings(max_iterations=1)
     with pytest.raises(NewtonDivergence):
         run_qts("ESDIRK23", NewtonStrategy.REUSE_PER_STEP,
                 SensitivityMode.NONE, n_steps=1,
                 settings=settings, u=np.array([500.0, 500.0]),
                 x0=np.array([10.0, 10.0, 10.0, 10.0]))
+
+
+@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"tau": 1.5}, {"abs": 0.0},
+                                    {"max_iterations": 0}])
+def test_newton_settings_validation(kwargs):
+    with pytest.raises(ValueError):
+        NewtonSettings(**kwargs)
 
 
 def test_mode_strategy_contract():
@@ -227,8 +280,46 @@ def test_batch_matches_single_rows(method, mode, strategy):
         assert np.allclose(batch.x_final[k], res.x_final, rtol=1e-14, atol=0)
         assert np.allclose(batch.trajectory[k], res.trajectory,
                            rtol=1e-14, atol=0)
-        assert np.allclose(batch.sens_wrt_x0[k], res.sens.wrt_x0,
+        assert np.allclose(batch.sens.wrt_x0[k], res.sens.wrt_x0,
                            rtol=0, atol=1e-12)
-        assert np.allclose(batch.sens_wrt_u[k], res.sens.wrt_u,
+        assert np.allclose(batch.sens.wrt_u[k], res.sens.wrt_u,
                            rtol=0, atol=1e-12)
     assert cb.as_dict() == cs.as_dict()
+
+
+class CountingTank(QuadrupleTank):
+    """QuadrupleTank that counts the rows it evaluates f at and its
+    Jacobian calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.f_rows = 0
+        self.jacobian_calls = 0
+
+    def f_batch(self, x, u, d):
+        self.f_rows += x.shape[0]
+        return super().f_batch(x, u, d)
+
+    def jacobians_batch(self, x):
+        self.jacobian_calls += 1
+        return super().jacobians_batch(x)
+
+
+@pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
+@pytest.mark.parametrize("mode,strategy", [
+    (SensitivityMode.ITERATED, NewtonStrategy.REUSE_PER_STEP),
+    (SensitivityMode.DIRECT, NewtonStrategy.REUSE_PER_STEP),
+    (SensitivityMode.BASE_DIRECT, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
+    (SensitivityMode.NONE, NewtonStrategy.REUSE_PER_STEP),
+    (SensitivityMode.NONE, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
+])
+def test_model_calls_match_counters(method, mode, strategy):
+    # one row: every model call evaluates exactly the work it is counted as
+    model = CountingTank()
+    counters = WorkCounters()
+    integrate_interval(model, make_tableau(method), strategy,
+                       NewtonSettings(), mode, X0, U0, D0, 0.0, 10.0, 10,
+                       counters)
+    assert model.f_rows == counters.f_evals
+    assert model.jacobian_calls == max(counters.jac_x_evals,
+                                       counters.jac_u_evals)

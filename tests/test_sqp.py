@@ -34,7 +34,7 @@ def test_bfgs_keeps_positive_definite():
         s = rng.standard_normal(5)
         y = rng.standard_normal(5)       # arbitrary, often s'y < 0
         H = bfgs_update(H, s, y)
-        assert np.allclose(H, H.T, rtol=0, atol=1e-12)
+        assert np.array_equal(H, H.T)
         eig = np.linalg.eigvalsh(H)
         # nonnegative up to roundoff relative to the largest eigenvalue
         assert eig.min() > -1e-12 * eig.max()
@@ -84,7 +84,7 @@ def reference_objective_hessian(problem, reg, seed_u):
 def test_objective_hessian_structure():
     problem = make_problem(small_config())
     H = objective_hessian(problem)
-    assert np.allclose(H, H.T, rtol=0, atol=0)
+    assert np.array_equal(H, H.T)
     assert np.all(np.linalg.eigvalsh(H) > 0.0)
     n_u, n_x = 2, 4
     qb = problem.qdu_bar
