@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .integrator import NewtonSettings, NewtonStrategy
+from .integrator import NewtonSettings
 from .model import QuadrupleTank
 from .nlp import DecisionVector, OcpProblem
 from .sensitivity import SensitivityMode
@@ -113,13 +113,6 @@ class RunConfig:
         return self
 
     @property
-    def strategy(self):
-        """The base case refactorizes every iteration; the rest reuse."""
-        if self.sens == "base":
-            return NewtonStrategy.REFACTORIZE_EVERY_ITERATION
-        return NewtonStrategy.REUSE_PER_STEP
-
-    @property
     def mode(self):
         return {"iterated": SensitivityMode.ITERATED,
                 "direct": SensitivityMode.DIRECT,
@@ -173,7 +166,6 @@ def make_problem(config):
         u_prev=np.asarray(config.u_prev, float),
         d=np.asarray(config.d, float),
         tableau=make_tableau(config.method.upper()),
-        strategy=config.strategy,
         mode=config.mode,
         newton=NewtonSettings(tau=config.tau, abs=config.abs,
                               rel=config.rel))

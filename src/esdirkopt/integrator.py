@@ -4,17 +4,18 @@ Each step solves the implicit stage equations R_i(X_i) = X_i - h*gamma*
 f(X_i, u) - psi_i = 0 with an inexact Newton method. The integrator runs
 a batch of independent intervals in lockstep, one row per interval: every
 Newton round evaluates the model once for all rows still iterating, and a
-single interval is the batch of one row. Two iteration matrix strategies
-are supported: one factorization of M_k = I - h*gamma*df/dx(x_k) per
-step, or a fresh Jacobian and factorization at every Newton iterate (the
-benchmark base case). With a sensitivity mode, each stage is
-differentiated as it is solved (see ``sensitivity``), so a step keeps no
-record of its Newton rounds. Work counters track every model evaluation
-and factorization exactly, row by row.
+single interval is the batch of one row. The sensitivity mode fixes the
+iteration matrix strategy (``strategy_of``): the base case takes a fresh
+Jacobian and factorization at every Newton iterate, every other mode one
+factorization of M_k = I - h*gamma*df/dx(x_k) per step. With a
+sensitivity mode, each stage is differentiated as it is solved (see
+``sensitivity``), so a step keeps no record of its Newton rounds. Work
+counters track every model evaluation and factorization exactly, row by
+row.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,20 +57,15 @@ class WorkCounters:
     newton_iterations: int = 0
 
     def as_dict(self):
-        return {"f_evals": self.f_evals,
-                "jac_x_evals": self.jac_x_evals,
-                "jac_u_evals": self.jac_u_evals,
-                "lu_factorizations": self.lu_factorizations,
-                "newton_iterations": self.newton_iterations}
+        return asdict(self)
 
 
-def _check_mode_strategy(mode, strategy):
+def strategy_of(mode):
+    """The Newton strategy of a sensitivity mode: the base case
+    refactorizes at every iterate, every other mode reuses per step."""
     if mode is SensitivityMode.BASE_DIRECT:
-        if strategy is not NewtonStrategy.REFACTORIZE_EVERY_ITERATION:
-            raise ContractViolation("base-direct requires the refactorizing strategy")
-    elif mode in (SensitivityMode.ITERATED, SensitivityMode.DIRECT):
-        if strategy is not NewtonStrategy.REUSE_PER_STEP:
-            raise ContractViolation(f"{mode.value} pairs with the reuse-per-step strategy")
+        return NewtonStrategy.REFACTORIZE_EVERY_ITERATION
+    return NewtonStrategy.REUSE_PER_STEP
 
 
 @dataclass
@@ -93,8 +89,8 @@ class IntervalResult:
         return SensitivityPair(self.step_sens[-1], self.x_final.shape[-1])
 
 
-def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
-                              d, dt, n_steps, counters):
+def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
+                              n_steps, counters):
     """Integrate a batch of intervals of equal length dt in lockstep.
 
     Row b advances from x_0[b] under the constant input u[b] with n_steps
@@ -105,7 +101,6 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
     autonomous model (see ``model.OdeModel``); raises on the first row that
     diverges, leaves the model domain or meets a singular iteration matrix.
     """
-    _check_mode_strategy(mode, strategy)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if dt <= 0:
@@ -124,8 +119,8 @@ def integrate_intervals_batch(model, tab, strategy, settings, mode, x_0, u,
     step_sens = []
     prev = None
     for k in range(n_steps):
-        prev = esdirk_step(model, tab, strategy, settings, mode,
-                           x, sens, u, d, h, prev, counters, svp)
+        prev = esdirk_step(model, tab, settings, mode, x, sens, u, d, h,
+                           prev, counters, svp)
         x = prev["x_next"]
         if mode is not SensitivityMode.NONE:
             sens = prev["sens_next"]
@@ -138,9 +133,13 @@ def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
                        t_0, t_f, n_steps, counters):
     """Integrate one interval [t_0, t_f]: integrate_intervals_batch with a
     batch of one row. The models are autonomous, so only t_f - t_0 matters.
+    ``strategy`` is checked, not used: it must be ``strategy_of(mode)``.
     """
+    if strategy is not strategy_of(mode):
+        raise ContractViolation(f"{mode.value} runs with the "
+                                f"{strategy_of(mode).value} strategy")
     res = integrate_intervals_batch(
-        model, tab, strategy, settings, mode, np.asarray(x_0, float)[None],
+        model, tab, settings, mode, np.asarray(x_0, float)[None],
         np.asarray(u, float)[None], d, t_f - t_0, n_steps, counters)
     return IntervalResult(x_final=res.x_final[0],
                           trajectory=res.trajectory[0],
@@ -153,8 +152,8 @@ def _remap_batch_row(exc, rows):
     return exc
 
 
-def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
-                prev, counters, svp):
+def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
+                counters, svp):
     """One ESDIRK step of size h from the (B, n_x) states x_k.
 
     ``sens_k`` holds the packed sensitivities at x_k, one (n_x, n_x + n_u)
@@ -178,7 +177,7 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
     eye = np.eye(n_x)
     iterated = mode is SensitivityMode.ITERATED
     with_sens = mode is not SensitivityMode.NONE
-    reuse = strategy is NewtonStrategy.REUSE_PER_STEP
+    reuse = strategy_of(mode) is NewtonStrategy.REUSE_PER_STEP
 
     jx_k, ju_k = model.jacobians_batch(x_k)
     counters.jac_x_evals += nb
@@ -263,7 +262,7 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
                 except (DomainError, SingularMatrix) as exc:
                     raise _remap_batch_row(exc, upd)
             if reuse:
-                fac = factors.rows(upd)
+                fac = factors[upd]
             x_it[upd] = x_it[upd] - linalg.lu_solve_batch(fac, r[cont])
             if iterated:
                 counters.jac_u_evals += upd.size
@@ -282,24 +281,20 @@ def esdirk_step(model, tab, strategy, settings, mode, x_k, sens_k, u, d, h,
         if iterated:
             # converged-stage Jacobians: each row's last Newton round
             jx_i, ju_i, sens_i = jx_conv, ju_conv, sens_it
-        elif with_sens or not reuse:
+        elif with_sens:
             # one Jacobian evaluation at the converged stage serves the
-            # direct and base sensitivity solves, and the refactorizing
-            # strategy's per-stage Jacobian update (it cannot share the
-            # step-start Jacobian with its predictor-based iteration
-            # matrices); the direct mode counts df/dx only where later
+            # direct and base solves; direct counts df/dx only where later
             # stages use it
             jx_i, ju_i = model.jacobians_batch(x_it)
             if not reuse or idx < s - 2:
                 counters.jac_x_evals += nb
-            if with_sens:
-                counters.jac_u_evals += nb
-                if reuse:
-                    fac = factors
-                else:
-                    fac = linalg.lu_factorize_batch(eye - hg * jx_i)
-                    counters.lu_factorizations += nb
-                sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
+            counters.jac_u_evals += nb
+            if reuse:
+                fac = factors
+            else:
+                fac = linalg.lu_factorize_batch(eye - hg * jx_i)
+                counters.lu_factorizations += nb
+            sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
         if with_sens:
             stage_sens.append(sens_i)
 

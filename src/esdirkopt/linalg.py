@@ -3,10 +3,12 @@
 The iteration matrices are tiny (4x4 for the quadruple tank) and come in
 stacks, one matrix per shooting interval. A stack is factorized by one
 stacked LAPACK inversion (``np.linalg.inv``, LU with partial pivoting
-under the hood), and every solve with it is one batched matrix product.
-For such small matrices this is far cheaper than any per-matrix or
-per-column loop in Python, and it is deterministic: each matrix of a
-stack gets the same result as it would on its own.
+under the hood). The factors are the (B, n, n) stack of inverses, so
+``factors[rows]`` restricts them to some batch rows, and every solve is
+one batched matrix product. For such small matrices this is far cheaper
+than any per-matrix or per-column loop in Python, and it is
+deterministic: each matrix of a stack gets the same result as it would
+on its own.
 """
 
 import numpy as np
@@ -19,23 +21,6 @@ from .errors import DimensionError, SingularMatrix
 SINGULARITY_RTOL = 1e-14
 
 
-class LuFactors:
-    """Factorization of a (B, n, n) stack of matrices, kept as the inverses."""
-
-    __slots__ = ("inv",)
-
-    def __init__(self, inv):
-        self.inv = inv
-
-    @property
-    def n(self):
-        return self.inv.shape[-1]
-
-    def rows(self, idx):
-        """Factors restricted to the given batch rows."""
-        return LuFactors(self.inv[idx])
-
-
 def _singular(row, detail):
     exc = SingularMatrix(f"{detail} in batch row {row}")
     exc.batch_row = row
@@ -43,7 +28,8 @@ def _singular(row, detail):
 
 
 def lu_factorize_batch(a):
-    """Factorize a (B, n, n) stack of square matrices.
+    """Factorize a (B, n, n) stack of square matrices into the stack of
+    their inverses.
 
     Raises SingularMatrix naming (in its message and its ``batch_row``)
     the first row that is singular by the SINGULARITY_RTOL threshold.
@@ -66,22 +52,24 @@ def lu_factorize_batch(a):
     if not ok.all():
         row = int(np.argmin(ok))
         raise _singular(row, f"condition estimate {cond[row]:.3e}")
-    return LuFactors(inv)
+    return inv
 
 
 def lu_solve_batch(f, b):
-    """Solve the stacked systems A_b X_b = B_b.
+    """Solve the stacked systems A_b X_b = B_b, given the factors ``f``
+    of the A_b from lu_factorize_batch.
 
     ``b`` has shape (B, n) for one right-hand side per batch row or
     (B, n, k) for k of them.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[1] != f.n:
+    n = f.shape[-1]
+    if b.shape[1] != n:
         raise DimensionError(f"rhs has {b.shape[1]} rows, factors are "
-                             f"{f.n}x{f.n}")
+                             f"{n}x{n}")
     if b.ndim == 2:
-        return (f.inv @ b[:, :, None])[:, :, 0]
-    return f.inv @ b
+        return (f @ b[:, :, None])[:, :, 0]
+    return f @ b
 
 
 def lu_factorize(a):

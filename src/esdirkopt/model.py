@@ -70,7 +70,7 @@ DF_DQ = np.array([[-1.0, 0.0, 1.0, 0.0],
 
 def _check_domain(x):
     """Raise DomainError naming the first batch row with a negative mass."""
-    if np.any(x < 0):
+    if x.min() < 0:
         row = int(np.argmax(np.any(x < 0, axis=1)))
         exc = DomainError(f"negative tank mass: {x[row]}")
         exc.batch_row = row

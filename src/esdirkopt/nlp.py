@@ -12,6 +12,8 @@ Each control interval is integrated as an independent initial value
 problem with sensitivities reset to (I, 0) at the interval start, which
 yields the continuity residuals c_n = x_{n+1} - F_n(x_n, u_n) and their
 Jacobian blocks A_n = dF_n/dx_n and B_n = dF_n/du_n, stacked over n.
+The problem's sensitivity mode also fixes the integrator's Newton
+strategy (see ``integrator.strategy_of``).
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, EvaluationError, NewtonDivergence,
                      SingularMatrix)
-from .integrator import (NewtonSettings, NewtonStrategy, integrate_interval,
-                         integrate_intervals_batch)
+from .integrator import NewtonSettings, integrate_intervals_batch
 from .sensitivity import SensitivityMode
 
 
@@ -40,7 +41,6 @@ class OcpProblem:
     u_prev: np.ndarray
     d: np.ndarray
     tableau: object
-    strategy: NewtonStrategy
     mode: SensitivityMode
     newton: NewtonSettings
 
@@ -117,8 +117,8 @@ def evaluate(problem, w, counters):
     x_starts = np.vstack([problem.x0, w.X[:-1]])
     try:
         res = integrate_intervals_batch(
-            m, problem.tableau, problem.strategy, problem.newton,
-            problem.mode, x_starts, w.U, problem.d, Ts, N, counters)
+            m, problem.tableau, problem.newton, problem.mode, x_starts,
+            w.U, problem.d, Ts, N, counters)
     except (DomainError, NewtonDivergence, SingularMatrix) as exc:
         raise EvaluationError(exc.batch_row, exc) from exc
 
@@ -160,23 +160,3 @@ def constraint_jacobian_transpose_times(ev, w, lam):
     out.X[:-1] -= (lam[1:, None] @ ev.A[1:])[:, 0]
     return out.w
 
-
-def simulate_decision_vector(problem, u_value, counters=None):
-    """Forward-simulated decision vector: x_{n+1} := F_n(x_n, u_n)."""
-    from .integrator import WorkCounters
-
-    if counters is None:
-        counters = WorkCounters()
-    m = problem.model
-    w = DecisionVector.filled(0.0, m.n_x, m.n_u, problem.Nc)
-    x = np.asarray(problem.x0, float)
-    u = np.full(m.n_u, float(u_value))
-    for n in range(problem.Nc):
-        w.U[n] = u
-        res = integrate_interval(
-            m, problem.tableau, problem.strategy, problem.newton,
-            SensitivityMode.NONE, x, u, problem.d,
-            n * problem.Ts, (n + 1) * problem.Ts, problem.N, counters)
-        x = res.x_final
-        w.X[n] = x
-    return w

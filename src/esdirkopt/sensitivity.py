@@ -81,7 +81,7 @@ def fd_sensitivity_oracle(model, tab, x0, u, d, t0, tf, n_steps,
     rows[:n] += np.diag(eps)
     rows[n:] -= np.diag(eps)
     res = integrator.integrate_intervals_batch(
-        model, tab, integrator.NewtonStrategy.REUSE_PER_STEP,
+        model, tab,
         integrator.NewtonSettings(abs=1e-12, rel=1e-12, max_iterations=50),
         SensitivityMode.NONE, rows[:, :n_x], rows[:, n_x:], d, tf - t0,
         n_steps, integrator.WorkCounters())

@@ -14,8 +14,8 @@ import pytest
 
 from esdirkopt.bench import (METHODS, SENS_MODES, SWEEP_N, RunConfig,
                              run_low_tol_experiment, run_single, run_sweep)
-from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
-                                  WorkCounters, integrate_interval)
+from esdirkopt.integrator import (NewtonSettings, WorkCounters,
+                                  integrate_interval, strategy_of)
 from esdirkopt.model import QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode, fd_sensitivity_oracle
 from esdirkopt.tableau import (make_tableau, order_condition_residuals,
@@ -27,17 +27,11 @@ D0 = np.array([0.0, 0.0, 100.0, 100.0])
 
 TIGHT = NewtonSettings(abs=1e-12, rel=1e-12, max_iterations=60)
 
-STRATEGY = {SensitivityMode.NONE: NewtonStrategy.REUSE_PER_STEP,
-            SensitivityMode.ITERATED: NewtonStrategy.REUSE_PER_STEP,
-            SensitivityMode.DIRECT: NewtonStrategy.REUSE_PER_STEP,
-            SensitivityMode.BASE_DIRECT:
-                NewtonStrategy.REFACTORIZE_EVERY_ITERATION}
-
 
 def integrate(method, mode, n_steps, settings=None):
     counters = WorkCounters()
     res = integrate_interval(
-        QuadrupleTank(), make_tableau(method), STRATEGY[mode],
+        QuadrupleTank(), make_tableau(method), strategy_of(mode),
         settings if settings is not None else NewtonSettings(), mode,
         X0, U0, D0, 0.0, 10.0, n_steps, counters)
     return res, counters

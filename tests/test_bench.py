@@ -11,7 +11,6 @@ from esdirkopt.bench import (COLUMNS, RunConfig, RunStats, config_from,
                              stats_to_json)
 from esdirkopt.cli import main
 from esdirkopt.errors import ConfigError
-from esdirkopt.integrator import NewtonStrategy
 from esdirkopt.sensitivity import SensitivityMode
 
 
@@ -38,11 +37,8 @@ def test_config_validation():
     assert RunConfig().validate() is not None
 
 
-def test_strategy_and_mode_properties():
-    assert RunConfig(sens="base").strategy \
-        is NewtonStrategy.REFACTORIZE_EVERY_ITERATION
-    assert RunConfig(sens="iterated").strategy \
-        is NewtonStrategy.REUSE_PER_STEP
+def test_mode_property():
+    assert RunConfig(sens="iterated").mode is SensitivityMode.ITERATED
     assert RunConfig(sens="direct").mode is SensitivityMode.DIRECT
     assert RunConfig(sens="base").mode is SensitivityMode.BASE_DIRECT
 

@@ -5,7 +5,7 @@ from esdirkopt.errors import ContractViolation, NewtonDivergence
 from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
-                                  integrate_intervals_batch)
+                                  integrate_intervals_batch, strategy_of)
 from esdirkopt.model import LinearTestModel, QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau, svp_coefficients
@@ -17,16 +17,16 @@ D0 = np.array([0.0, 0.0, 100.0, 100.0])
 TIGHT = NewtonSettings(abs=1e-12, rel=1e-12, max_iterations=50)
 
 
-def run_qts(method, strategy, mode, n_steps=10, settings=None, x0=X0, u=U0):
+def run_qts(method, mode, n_steps=10, settings=None, x0=X0, u=U0):
     counters = WorkCounters()
     res = integrate_interval(
-        QuadrupleTank(), make_tableau(method), strategy,
+        QuadrupleTank(), make_tableau(method), strategy_of(mode),
         settings if settings is not None else NewtonSettings(), mode,
         x0, u, D0, 0.0, 10.0, n_steps, counters)
     return res, counters
 
 
-def step_qts(method, strategy, mode, n_steps=10):
+def step_qts(method, mode, n_steps=10):
     """run_qts stepped by hand with esdirk_step on a batch of one row.
 
     Returns the counters and the (n_steps, s-1) Newton iteration counts
@@ -39,12 +39,11 @@ def step_qts(method, strategy, mode, n_steps=10):
     sens = np.hstack((np.eye(4), np.zeros((4, 2))))[None]
     prev, counts = None, []
     for _ in range(n_steps):
-        prev = esdirk_step(model, tab, strategy, NewtonSettings(), mode, x,
-                           sens, U0[None], D0, 10.0 / n_steps, prev,
-                           counters, svp)
+        prev = esdirk_step(model, tab, NewtonSettings(), mode, x, sens,
+                           U0[None], D0, 10.0 / n_steps, prev, counters, svp)
         x, sens = prev["x_next"], prev.get("sens_next")
         counts.append(prev["newton_counts"][0])
-    _, reference = run_qts(method, strategy, mode, n_steps)
+    _, reference = run_qts(method, mode, n_steps)
     assert counters.as_dict() == reference.as_dict()
     return counters, np.array(counts)
 
@@ -56,8 +55,7 @@ def test_esdirk12_step_is_implicit_euler():
     x0 = np.array([[1.7], [-0.4], [3.0]])
     u = np.array([[0.4], [0.0], [-1.1]])
     sens0 = np.tile(np.eye(1, 2), (3, 1, 1))
-    rec = esdirk_step(m, make_tableau("ESDIRK12"),
-                      NewtonStrategy.REUSE_PER_STEP, TIGHT,
+    rec = esdirk_step(m, make_tableau("ESDIRK12"), TIGHT,
                       SensitivityMode.DIRECT, x0, sens0, u, None, h, None,
                       WorkCounters(), None)
     exact = (x0 + h * (u + forcing)) / (1.0 - h * lam)
@@ -90,7 +88,6 @@ def test_linear_model_convergence_order(method, order):
 #: ESDIRK23, 10 steps: d x_final / d(x0, u) and the counters of each mode
 FROZEN = {
     SensitivityMode.ITERATED: (
-        NewtonStrategy.REUSE_PER_STEP,
         [[0.8538073231454028, 0.0, 0.2840613287751059, 0.0],
          [0.0, 0.8780092422789403, 0.0, 0.27900440672441157],
          [0.0, 0.0, 0.6902966829580363, 0.0],
@@ -102,7 +99,6 @@ FROZEN = {
         {"f_evals": 72, "jac_x_evals": 52, "jac_u_evals": 52,
          "lu_factorizations": 10, "newton_iterations": 42}),
     SensitivityMode.DIRECT: (
-        NewtonStrategy.REUSE_PER_STEP,
         [[0.8537075082766371, 0.0, 0.2861039610052028, 0.0],
          [0.0, 0.8779781991141282, 0.0, 0.28149974100588415],
          [0.0, 0.0, 0.6879976450113955, 0.0],
@@ -114,7 +110,6 @@ FROZEN = {
         {"f_evals": 72, "jac_x_evals": 20, "jac_u_evals": 30,
          "lu_factorizations": 10, "newton_iterations": 42}),
     SensitivityMode.BASE_DIRECT: (
-        NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
         [[0.8538073230488373, 0.0, 0.28406132710010706, 0.0],
          [0.0, 0.8780092421928966, 0.0, 0.2790044041078345],
          [0.0, 0.0, 0.6902966848068361, 0.0],
@@ -130,8 +125,8 @@ FROZEN = {
 
 @pytest.mark.parametrize("mode", list(FROZEN), ids=lambda m: m.value)
 def test_frozen_terminal_state_esdirk23(mode):
-    strategy, wrt_x0, wrt_u, work = FROZEN[mode]
-    res, counters = run_qts("ESDIRK23", strategy, mode)
+    wrt_x0, wrt_u, work = FROZEN[mode]
+    res, counters = run_qts("ESDIRK23", mode)
     if mode is SensitivityMode.ITERATED:
         expected = np.array([8000.271319323485, 11619.27306711874,
                              1843.1845763673257, 2097.278340600137])
@@ -149,8 +144,7 @@ def test_frozen_terminal_state_esdirk23(mode):
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_reuse(method):
     n_steps = 10
-    counters, counts = step_qts(method, NewtonStrategy.REUSE_PER_STEP,
-                                SensitivityMode.ITERATED, n_steps)
+    counters, counts = step_qts(method, SensitivityMode.ITERATED, n_steps)
     assert counters.lu_factorizations == n_steps
     newton = counts.sum()
     assert counters.newton_iterations == newton
@@ -162,9 +156,8 @@ def test_counter_identities_reuse(method):
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_refactorize(method):
     n_steps = 10
-    counters, counts = step_qts(method,
-                                NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
-                                SensitivityMode.BASE_DIRECT, n_steps)
+    counters, counts = step_qts(method, SensitivityMode.BASE_DIRECT,
+                                n_steps)
     s = make_tableau(method).s
     newton = counts.sum()
     assert counters.newton_iterations == newton
@@ -178,8 +171,7 @@ def test_counter_identities_refactorize(method):
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 def test_counter_identities_direct(method):
     n_steps = 10
-    counters, counts = step_qts(method, NewtonStrategy.REUSE_PER_STEP,
-                                SensitivityMode.DIRECT, n_steps)
+    counters, counts = step_qts(method, SensitivityMode.DIRECT, n_steps)
     s = make_tableau(method).s
     assert counters.newton_iterations == counts.sum()
     # direct mode adds no factorizations beyond the one per step
@@ -191,19 +183,17 @@ def test_counter_identities_direct(method):
 
 
 def test_strategy_equivalence_tight_tolerances():
+    # iterated reuses the step's factorization, base refactorizes
     for method in ("ESDIRK12", "ESDIRK23", "ESDIRK34"):
-        r1, _ = run_qts(method, NewtonStrategy.REUSE_PER_STEP,
-                        SensitivityMode.NONE, settings=TIGHT)
-        r2, _ = run_qts(method, NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
-                        SensitivityMode.NONE, settings=TIGHT)
+        r1, _ = run_qts(method, SensitivityMode.ITERATED, settings=TIGHT)
+        r2, _ = run_qts(method, SensitivityMode.BASE_DIRECT, settings=TIGHT)
         assert np.allclose(r1.x_final, r2.x_final, rtol=1e-8, atol=0)
 
 
 def test_min_one_newton_iteration():
     # even a perfect predictor performs at least one update per stage
     m = LinearTestModel(0.0)       # f independent of x: residual exact
-    rec = esdirk_step(m, make_tableau("ESDIRK23"),
-                      NewtonStrategy.REUSE_PER_STEP, NewtonSettings(),
+    rec = esdirk_step(m, make_tableau("ESDIRK23"), NewtonSettings(),
                       SensitivityMode.NONE, np.array([[1.0], [2.0]]), None,
                       np.zeros((2, 1)), None, 0.1, None, WorkCounters(), None)
     assert rec["newton_counts"].shape == (2, 2)
@@ -213,8 +203,7 @@ def test_min_one_newton_iteration():
 def test_newton_divergence():
     settings = NewtonSettings(max_iterations=1)
     with pytest.raises(NewtonDivergence):
-        run_qts("ESDIRK23", NewtonStrategy.REUSE_PER_STEP,
-                SensitivityMode.NONE, n_steps=1,
+        run_qts("ESDIRK23", SensitivityMode.NONE, n_steps=1,
                 settings=settings, u=np.array([500.0, 500.0]),
                 x0=np.array([10.0, 10.0, 10.0, 10.0]))
 
@@ -227,18 +216,23 @@ def test_newton_settings_validation(kwargs):
 
 
 def test_mode_strategy_contract():
-    with pytest.raises(ContractViolation):
-        run_qts("ESDIRK23", NewtonStrategy.REUSE_PER_STEP,
-                SensitivityMode.BASE_DIRECT)
-    with pytest.raises(ContractViolation):
-        run_qts("ESDIRK23", NewtonStrategy.REFACTORIZE_EVERY_ITERATION,
-                SensitivityMode.ITERATED)
+    reuse = NewtonStrategy.REUSE_PER_STEP
+    refactorize = NewtonStrategy.REFACTORIZE_EVERY_ITERATION
+    assert {mode: strategy_of(mode) for mode in SensitivityMode} == {
+        SensitivityMode.ITERATED: reuse, SensitivityMode.DIRECT: reuse,
+        SensitivityMode.BASE_DIRECT: refactorize, SensitivityMode.NONE: reuse}
+    for mode, strategy in ((SensitivityMode.BASE_DIRECT, reuse),
+                           (SensitivityMode.ITERATED, refactorize),
+                           (SensitivityMode.NONE, refactorize)):
+        with pytest.raises(ContractViolation):
+            integrate_interval(QuadrupleTank(), make_tableau("ESDIRK23"),
+                               strategy, NewtonSettings(), mode, X0, U0, D0,
+                               0.0, 10.0, 10, WorkCounters())
 
 
 def test_interval_argument_validation():
     with pytest.raises(ValueError):
-        run_qts("ESDIRK23", NewtonStrategy.REUSE_PER_STEP,
-                SensitivityMode.NONE, n_steps=0)
+        run_qts("ESDIRK23", SensitivityMode.NONE, n_steps=0)
     counters = WorkCounters()
     with pytest.raises(ValueError):
         integrate_interval(QuadrupleTank(), make_tableau("ESDIRK23"),
@@ -248,19 +242,16 @@ def test_interval_argument_validation():
 
 
 def test_warm_start_reduces_newton_work():
-    _, counts = step_qts("ESDIRK34", NewtonStrategy.REUSE_PER_STEP,
-                         SensitivityMode.NONE, n_steps=20)
+    _, counts = step_qts("ESDIRK34", SensitivityMode.NONE, n_steps=20)
     per_step = counts.sum(axis=1)
     assert per_step[5:].max() <= per_step[0]
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
-@pytest.mark.parametrize("mode,strategy", [
-    (SensitivityMode.ITERATED, NewtonStrategy.REUSE_PER_STEP),
-    (SensitivityMode.DIRECT, NewtonStrategy.REUSE_PER_STEP),
-    (SensitivityMode.BASE_DIRECT, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
-])
-def test_batch_matches_single_rows(method, mode, strategy):
+@pytest.mark.parametrize("mode", [SensitivityMode.ITERATED,
+                                  SensitivityMode.DIRECT,
+                                  SensitivityMode.BASE_DIRECT])
+def test_batch_matches_single_rows(method, mode):
     # rows converge after different numbers of Newton iterations, so this
     # also covers the subsetting of the still-iterating rows
     rng = np.random.default_rng(11)
@@ -271,12 +262,12 @@ def test_batch_matches_single_rows(method, mode, strategy):
     tab = make_tableau(method)
     settings = NewtonSettings()
     cb = WorkCounters()
-    batch = integrate_intervals_batch(model, tab, strategy, settings, mode,
-                                      x0s, us, D0, 10.0, 6, cb)
+    batch = integrate_intervals_batch(model, tab, settings, mode, x0s, us,
+                                      D0, 10.0, 6, cb)
     cs = WorkCounters()
     for k in range(nb):
-        res = integrate_interval(model, tab, strategy, settings, mode,
-                                 x0s[k], us[k], D0, 0.0, 10.0, 6, cs)
+        res = integrate_interval(model, tab, strategy_of(mode), settings,
+                                 mode, x0s[k], us[k], D0, 0.0, 10.0, 6, cs)
         assert np.allclose(batch.x_final[k], res.x_final, rtol=1e-14, atol=0)
         assert np.allclose(batch.trajectory[k], res.trajectory,
                            rtol=1e-14, atol=0)
@@ -306,18 +297,12 @@ class CountingTank(QuadrupleTank):
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
-@pytest.mark.parametrize("mode,strategy", [
-    (SensitivityMode.ITERATED, NewtonStrategy.REUSE_PER_STEP),
-    (SensitivityMode.DIRECT, NewtonStrategy.REUSE_PER_STEP),
-    (SensitivityMode.BASE_DIRECT, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
-    (SensitivityMode.NONE, NewtonStrategy.REUSE_PER_STEP),
-    (SensitivityMode.NONE, NewtonStrategy.REFACTORIZE_EVERY_ITERATION),
-])
-def test_model_calls_match_counters(method, mode, strategy):
+@pytest.mark.parametrize("mode", list(SensitivityMode))
+def test_model_calls_match_counters(method, mode):
     # one row: every model call evaluates exactly the work it is counted as
     model = CountingTank()
     counters = WorkCounters()
-    integrate_interval(model, make_tableau(method), strategy,
+    integrate_interval(model, make_tableau(method), strategy_of(mode),
                        NewtonSettings(), mode, X0, U0, D0, 0.0, 10.0, 10,
                        counters)
     assert model.f_rows == counters.f_evals

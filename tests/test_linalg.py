@@ -94,7 +94,7 @@ def test_batch_rows_subset():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((5, 3, 3)) + 3 * np.eye(3)
     f = lu_factorize_batch(a)
-    sub = f.rows(np.array([0, 3]))
+    sub = f[[0, 3]]
     b = rng.standard_normal((2, 3))
     x = lu_solve_batch(sub, b)
     assert np.allclose(a[[0, 3]] @ x[:, :, None], b[:, :, None],

@@ -3,12 +3,11 @@ import pytest
 
 from esdirkopt.bench import SetpointSwitch
 from esdirkopt.errors import EvaluationError, SingularMatrix
-from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
-                                  WorkCounters, integrate_interval)
+from esdirkopt.integrator import (NewtonSettings, WorkCounters,
+                                  integrate_interval, strategy_of)
 from esdirkopt.model import QuadrupleTank
 from esdirkopt.nlp import (DecisionVector, OcpProblem,
-                           constraint_jacobian_transpose_times, evaluate,
-                           simulate_decision_vector)
+                           constraint_jacobian_transpose_times, evaluate)
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
 
@@ -18,9 +17,6 @@ SETPOINTS = SetpointSwitch(np.array([20.0, 30.0]), np.array([30.0, 20.0]))
 
 def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None,
                   model=None):
-    strategy = NewtonStrategy.REFACTORIZE_EVERY_ITERATION \
-        if mode is SensitivityMode.BASE_DIRECT \
-        else NewtonStrategy.REUSE_PER_STEP
     return OcpProblem(
         model=model if model is not None else QuadrupleTank(),
         x0=np.array([7602.7, 11404.0, 1000.0, 1000.0]),
@@ -32,7 +28,7 @@ def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None,
         u_prev=np.full(2, 300.0),
         d=np.array([0.0, 0.0, 100.0, 100.0]),
         tableau=make_tableau("ESDIRK23"),
-        strategy=strategy, mode=mode,
+        mode=mode,
         newton=newton if newton is not None else NewtonSettings())
 
 
@@ -88,8 +84,18 @@ def test_setpoint_switch():
 
 
 def test_simulated_vector_is_feasible():
+    # forward simulation from x0 under u_n = u_prev: x_{n+1} := F_n(x_n, u_n)
     problem = small_problem()
-    w = simulate_decision_vector(problem, 300.0)
+    w = DecisionVector.filled(0.0, 4, 2, problem.Nc)
+    x = problem.x0
+    for n in range(problem.Nc):
+        w.U[n] = 300.0
+        x = integrate_interval(
+            problem.model, problem.tableau, strategy_of(SensitivityMode.NONE),
+            problem.newton, SensitivityMode.NONE, x, w.U[n], problem.d,
+            n * problem.Ts, (n + 1) * problem.Ts, problem.N,
+            WorkCounters()).x_final
+        w.X[n] = x
     ev = evaluate(problem, w, WorkCounters())
     assert np.abs(ev.c).max() < 1e-10
     assert ev.phi > 0.0
@@ -171,7 +177,7 @@ def test_evaluation_matches_single_intervals(mode):
     for n in range(problem.Nc):
         x_n = problem.x0 if n == 0 else w.X[n - 1]
         res = integrate_interval(
-            problem.model, problem.tableau, problem.strategy, problem.newton,
+            problem.model, problem.tableau, strategy_of(mode), problem.newton,
             mode, x_n, w.U[n], problem.d, n * problem.Ts,
             (n + 1) * problem.Ts, problem.N, cs)
         assert np.allclose(ev.c[n], w.X[n] - res.x_final,

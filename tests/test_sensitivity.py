@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
-                                  WorkCounters, integrate_interval)
+from esdirkopt.integrator import (NewtonSettings, WorkCounters,
+                                  integrate_interval, strategy_of)
 from esdirkopt.model import LinearTestModel, QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode, fd_sensitivity_oracle
 from esdirkopt.tableau import make_tableau
@@ -11,16 +11,10 @@ X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
 D0 = np.array([0.0, 0.0, 100.0, 100.0])
 
-STRATEGY = {SensitivityMode.ITERATED: NewtonStrategy.REUSE_PER_STEP,
-            SensitivityMode.DIRECT: NewtonStrategy.REUSE_PER_STEP,
-            SensitivityMode.BASE_DIRECT:
-                NewtonStrategy.REFACTORIZE_EVERY_ITERATION}
-
-
 def qts_sens(method, mode, n_steps, settings=None):
     counters = WorkCounters()
     res = integrate_interval(
-        QuadrupleTank(), make_tableau(method), STRATEGY[mode],
+        QuadrupleTank(), make_tableau(method), strategy_of(mode),
         settings if settings is not None else NewtonSettings(), mode,
         X0, U0, D0, 0.0, 10.0, n_steps, counters)
     return res.sens
@@ -42,7 +36,7 @@ def test_linear_model_all_modes_exact():
     for mode in (SensitivityMode.ITERATED, SensitivityMode.DIRECT,
                  SensitivityMode.BASE_DIRECT):
         counters = WorkCounters()
-        res = integrate_interval(m, tab, STRATEGY[mode], tight, mode,
+        res = integrate_interval(m, tab, strategy_of(mode), tight, mode,
                                  np.array([1.5]), np.array([0.8]), None,
                                  0.0, 2.0, 16, counters)
         got[mode] = (res.sens.wrt_x0[0, 0], res.sens.wrt_u[0, 0])
