@@ -1,10 +1,14 @@
-"""Dense convex QP subproblems for the SQP iteration.
+"""Convex QP subproblems for the SQP iteration.
 
 The subproblem minimizes 0.5 p'Hp + g'p subject to the linearized
 continuity constraints and simple bounds on the input components of p.
 The shooting structure lets the state components be eliminated exactly
 (condensing), leaving a bound-constrained QP in the input steps that a
 primal active-set method solves with warm starts.
+
+H is a `ShootingHessian`: a seed without input-state coupling plus a
+low-rank quasi-Newton correction. It is applied to vectors and condensed
+through that structure, so no dense nw x nw matrix is formed.
 """
 
 from dataclasses import dataclass
@@ -15,10 +19,37 @@ from .errors import ContractViolation
 
 
 @dataclass
+class ShootingHessian:
+    """H = H0 + Vp Vp' - Vm Vm' over w = [u_0, x_1, u_1, ..., x_Nc].
+
+    H0 has no input-state coupling: Huu acts on all input components
+    together, and the same Hx on every state block. The compact form of
+    the BFGS matrix (Byrd, Nocedal & Schnabel 1994) keeps each update as
+    one column of Vp and one of Vm, so after k updates H @ v costs
+    O(nu**2 + nw*k), nu = Nc*n_u.
+    """
+    Huu: np.ndarray        # (Nc*n_u, Nc*n_u), symmetric
+    Hx: np.ndarray         # (n_x, n_x), symmetric positive definite
+    Vp: np.ndarray         # (nw, kp)
+    Vm: np.ndarray         # (nw, km)
+
+    def __matmul__(self, v):
+        n_x = len(self.Hx)
+        Nc = (len(v) - len(self.Huu)) // n_x
+        vb = v.reshape(Nc, -1)
+        n_u = vb.shape[1] - n_x
+        out = np.empty_like(vb)
+        out[:, :n_u] = (self.Huu @ vb[:, :n_u].ravel()).reshape(Nc, n_u)
+        out[:, n_u:] = vb[:, n_u:] @ self.Hx           # Hx is symmetric
+        return (out.ravel() + self.Vp @ (self.Vp.T @ v)
+                - self.Vm @ (self.Vm.T @ v))
+
+
+@dataclass
 class QpProblem:
     """min 0.5 p'Hp + g'p  s.t.  p_x(n+1) = A_n p_x(n) + B_n p_u(n) + e_n,
     lb <= p_u <= ub (p_x(0) = 0)."""
-    H: np.ndarray
+    H: ShootingHessian     # seed blocks plus low-rank BFGS columns
     g: np.ndarray
     A: np.ndarray          # (Nc, n_x, n_x)
     B: np.ndarray          # (Nc, n_x, n_u)
@@ -45,12 +76,17 @@ def condense(q):
     """Eliminate the state steps: p = Z q_u + y0 with q_u the input steps.
 
     Returns (Z, y0, H_red, g_red) with H_red = Z'HZ positive definite
-    whenever H is.
+    whenever H is. With Zx the state rows of Z, L L' = Hx and P = Z'V,
+    H_red = Huu + (L'Zx)'(L'Zx) + Pp Pp' - Pm Pm'. Every term is a product
+    X'X, so H_red is exactly symmetric.
     """
     n_x, n_u, Nc = q.n_x, q.n_u, q.Nc
     nw = Nc * (n_x + n_u)
     nu = Nc * n_u
-    if q.H.shape != (nw, nw) or q.e.shape != (Nc, n_x):
+    H = q.H
+    if (H.Huu.shape != (nu, nu) or H.Hx.shape != (n_x, n_x)
+            or len(H.Vp) != nw or len(H.Vm) != nw
+            or q.e.shape != (Nc, n_x)):
         raise ContractViolation("QP blocks do not match the shooting structure")
     # row blocks [p_u(n), p_x(n+1)] of p, as in the decision vector
     Z = np.zeros((Nc, n_u + n_x, nu))
@@ -65,10 +101,13 @@ def condense(q):
         y = q.A[n] @ y + q.e[n] if n > 0 else q.e[n].copy()
         Z[n, n_u:] = G
         y0[n, n_u:] = y
+    R = (np.linalg.cholesky(H.Hx).T @ Z[:, n_u:]).reshape(Nc * n_x, nu)
     Z = Z.reshape(nw, nu)
     y0 = y0.ravel()
-    H_red = Z.T @ q.H @ Z
-    g_red = Z.T @ (q.g + q.H @ y0)
+    Pp = Z.T @ H.Vp
+    Pm = Z.T @ H.Vm
+    H_red = H.Huu + R.T @ R + Pp @ Pp.T - Pm @ Pm.T
+    g_red = Z.T @ (q.g + H @ y0)
     return Z, y0, H_red, g_red
 
 

@@ -1,13 +1,13 @@
 """Line-search SQP with damped BFGS updates and an l1 merit function."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EvaluationError
 from .integrator import WorkCounters
 from .nlp import DecisionVector, constraint_jacobian_transpose_times, evaluate
-from .qp import QpProblem, solve_qp
+from .qp import QpProblem, ShootingHessian, solve_qp
 
 
 @dataclass
@@ -29,6 +29,10 @@ class SqpSettings:
             raise ValueError("armijo_c1 must lie in (0, 0.5)")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must lie in (0, 1)")
+        if not self.hessian_reg > 0:
+            raise ValueError("hessian_reg must be positive")
+        if not self.hessian_seed_u >= 0:
+            raise ValueError("hessian_seed_u must be nonnegative")
 
 
 @dataclass
@@ -45,7 +49,12 @@ class SqpResult:
 
 
 def bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
-    """Powell-damped BFGS update keeping H symmetric positive definite."""
+    """Powell-damped BFGS update keeping H symmetric positive definite.
+
+    H is a `ShootingHessian`; the update H - Hs Hs'/s'Hs + y y'/s'y is
+    returned as a new one with y/sqrt(s'y) appended to Vp and
+    Hs/sqrt(s'Hs) to Vm. H itself is returned when s or y is too short.
+    """
     s = np.asarray(s, float)
     y = np.asarray(y, float)
     if np.linalg.norm(s) < skip_norm or np.linalg.norm(y) < skip_norm:
@@ -57,9 +66,8 @@ def bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
         theta = (1.0 - damping) * sHs / (sHs - sy)
         y = theta * y + (1.0 - theta) * Hs
         sy = s @ y
-    # each outer product is exactly symmetric (IEEE products commute), so
-    # a symmetric H stays symmetric bit for bit
-    return H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / sy
+    return replace(H, Vp=np.column_stack([H.Vp, y / np.sqrt(sy)]),
+                   Vm=np.column_stack([H.Vm, Hs / np.sqrt(sHs)]))
 
 
 def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):
@@ -101,21 +109,28 @@ def objective_hessian(problem, reg=1e-6, seed_u=0.04):
     the exact merit function acts as a guard: inconsistent (biased)
     derivative information cannot ride a long step into a self-consistent
     but wrong stationary point, it fails the Armijo test instead.
+
+    The seed has no input-state coupling, so it is returned as a
+    `ShootingHessian` with no low-rank columns: the block-tridiagonal
+    input part Huu and the one state block Hx = reg*I + Ts*C'QzC. With
+    reg > 0 and seed_u >= 0 (checked by `SqpSettings`) and positive
+    semidefinite Qz and rate weights, both are positive definite.
     """
     m = problem.model
     n_x, n_u, Nc = m.n_x, m.n_u, problem.Nc
     C = m.output_matrix()
-    H = reg * np.eye(Nc * (n_u + n_x))
-    # Hb[n, :, k, :] is the block of H coupling interval n with interval k
-    Hb = H.reshape(Nc, n_u + n_x, Nc, n_u + n_x)
+    Hx = reg * np.eye(n_x) + problem.Ts * C.T @ problem.Qz @ C
+    Huu = reg * np.eye(Nc * n_u)
+    # Hb[n, :, k, :] is the block of Huu coupling input n with input k
+    Hb = Huu.reshape(Nc, n_u, Nc, n_u)
     n = np.arange(Nc)
     qb = problem.qdu_bar
-    Hb[n, n_u:, n, n_u:] += problem.Ts * C.T @ problem.Qz @ C
-    Hb[n[1:], :n_u, n[1:], :n_u] += qb
-    Hb[n, :n_u, n, :n_u] += qb + seed_u * problem.Ts * np.eye(n_u)
-    Hb[n[:-1], :n_u, n[1:], :n_u] -= qb
-    Hb[n[1:], :n_u, n[:-1], :n_u] -= qb
-    return H
+    Hb[n[1:], :, n[1:]] += qb
+    Hb[n, :, n] += qb + seed_u * problem.Ts * np.eye(n_u)
+    Hb[n[:-1], :, n[1:]] -= qb
+    Hb[n[1:], :, n[:-1]] -= qb
+    empty = np.zeros((Nc * (n_u + n_x), 0))
+    return ShootingHessian(Huu=Huu, Hx=Hx, Vp=empty, Vm=empty)
 
 
 def line_search(problem, w, ev, p, mu_merit, settings, counters):

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from esdirkopt.nlp import DecisionVector
-from esdirkopt.qp import QpProblem, condense, solve_qp
+from esdirkopt.qp import QpProblem, ShootingHessian, condense, solve_qp
+
+
+def assemble(H, nw):
+    """The dense matrix of a ShootingHessian, one column H @ e_j at a time."""
+    return np.column_stack([H @ e for e in np.eye(nw)])
 
 
 def random_problem(rng, Nc=4, n_x=3, n_u=2, bound_scale=10.0):
     nw = Nc * (n_x + n_u)
     M = rng.standard_normal((nw, nw))
-    H = M @ M.T + nw * np.eye(nw)
+    # M M' + nw * I
+    H = ShootingHessian(Huu=nw * np.eye(Nc * n_u), Hx=nw * np.eye(n_x), Vp=M,
+                        Vm=np.zeros((nw, 0)))
     g = rng.standard_normal(nw)
     A = np.stack([rng.standard_normal((n_x, n_x)) * 0.5 for _ in range(Nc)])
     B = np.stack([rng.standard_normal((n_x, n_u)) for _ in range(Nc)])
@@ -48,15 +55,29 @@ def test_condensing_parameterizes_feasible_set():
     assert np.all(np.linalg.eigvalsh(H_red) > 0.0)
 
 
+def test_condensed_hessian_matches_dense_product():
+    rng = np.random.default_rng(6)
+    q = random_problem(rng)
+    nw = len(q.g)
+    # an indefinite low-rank part: the reduced matrix is still Z'HZ
+    q.H.Vm = 0.5 * rng.standard_normal((nw, 3))
+    Hdense = assemble(q.H, nw)
+    Z, y0, H_red, g_red = condense(q)
+    assert np.array_equal(H_red, H_red.T)
+    np.testing.assert_allclose(H_red, Z.T @ Hdense @ Z, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g_red, Z.T @ (q.g + Hdense @ y0), rtol=1e-12,
+                               atol=0)
+
+
 def test_unconstrained_matches_dense_kkt():
     rng = np.random.default_rng(1)
     q = random_problem(rng, bound_scale=1e6)
     sol = solve_qp(q)
     assert sol.status == "Optimal"
     E = dense_equality_matrix(q)
-    nw = q.H.shape[0]
+    nw = len(q.g)
     m = E.shape[0]
-    KKT = np.block([[q.H, E.T], [E, np.zeros((m, m))]])
+    KKT = np.block([[assemble(q.H, nw), E.T], [E, np.zeros((m, m))]])
     rhs = np.concatenate([-q.g, -q.e.ravel()])
     ref = np.linalg.solve(KKT, rhs)
     assert np.allclose(sol.p, ref[:nw], rtol=0, atol=1e-8)

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from test_nlp import dense_constraint_jacobian
+from test_qp import assemble
 
 from esdirkopt.bench import RunConfig, make_problem, sqp_settings
 from esdirkopt.integrator import WorkCounters
 from esdirkopt.nlp import DecisionVector, evaluate
+from esdirkopt.qp import QpProblem, ShootingHessian, condense
 from esdirkopt.sqp import (SqpSettings, bfgs_update, kkt_violation,
                            objective_hessian, solve_ocp)
 
@@ -25,38 +27,107 @@ def test_settings_validation():
         SqpSettings(armijo_c1=0.5)
     with pytest.raises(ValueError):
         SqpSettings(backtrack_factor=1.0)
+    with pytest.raises(ValueError):
+        SqpSettings(hessian_reg=0.0)
+    with pytest.raises(ValueError):
+        SqpSettings(hessian_reg=-1e-6)
+    with pytest.raises(ValueError):
+        SqpSettings(hessian_seed_u=-0.04)
+    SqpSettings(hessian_seed_u=0.0)
+
+
+def seed_hessian(Huu, Hx, Nc=1):
+    """A ShootingHessian with no low-rank columns."""
+    nw = len(Huu) + Nc * len(Hx)
+    return ShootingHessian(Huu=np.array(Huu, float), Hx=np.array(Hx, float),
+                           Vp=np.zeros((nw, 0)), Vm=np.zeros((nw, 0)))
+
+
+def dense_bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
+    """The damped BFGS update on a dense matrix, and which branch it took."""
+    if np.linalg.norm(s) < skip_norm or np.linalg.norm(y) < skip_norm:
+        return H, "skipped"
+    Hs = H @ s
+    sHs = s @ Hs
+    sy = s @ y
+    kind = "plain"
+    if sy < damping * sHs:
+        theta = (1.0 - damping) * sHs / (sHs - sy)
+        y = theta * y + (1.0 - theta) * Hs
+        sy = s @ y
+        kind = "damped"
+    return H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / sy, kind
+
+
+def test_compact_update_matches_dense_sequence():
+    rng = np.random.default_rng(11)
+    Nc, n_u, n_x = 3, 2, 3
+    nw = Nc * (n_u + n_x)
+    Muu = rng.standard_normal((Nc * n_u, Nc * n_u))
+    Mx = rng.standard_normal((n_x, n_x))
+    H = seed_hessian(Muu @ Muu.T + np.eye(Nc * n_u), Mx @ Mx.T + np.eye(n_x),
+                     Nc)
+    Hd = assemble(H, nw)
+    T = rng.standard_normal((nw, nw))
+    curvature = T @ T.T + np.eye(nw)          # a convex model to sample y
+    kinds = []
+    for k in range(20):
+        s = rng.standard_normal(nw)
+        y = curvature @ s
+        if k == 7:
+            y = -s                             # s'y < 0: damped
+        if k == 13:
+            s = np.zeros(nw)                   # skipped
+        H = bfgs_update(H, s, y)
+        Hd, kind = dense_bfgs_update(Hd, s, y)
+        kinds.append(kind)
+        for v in rng.standard_normal((3, nw)):
+            # normwise: single entries of H v may be small by cancellation
+            ref = Hd @ v
+            assert np.linalg.norm(H @ v - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert kinds.count("damped") == 1 and kinds.count("skipped") == 1
+    assert H.Vp.shape == H.Vm.shape == (nw, 19)
 
 
 def test_bfgs_keeps_positive_definite():
     rng = np.random.default_rng(0)
-    H = np.eye(5)
+    H = seed_hessian(np.eye(2), np.eye(3))      # the identity, n_u 2, n_x 3
+    qp = QpProblem(H=H, g=np.ones(5), A=np.zeros((1, 3, 3)),
+                   B=np.arange(6.0).reshape(1, 3, 2), e=np.ones((1, 3)),
+                   lb=-np.ones((1, 2)), ub=np.ones((1, 2)), n_x=3, n_u=2,
+                   Nc=1)
     for _ in range(50):
         s = rng.standard_normal(5)
         y = rng.standard_normal(5)       # arbitrary, often s'y < 0
         H = bfgs_update(H, s, y)
-        assert np.array_equal(H, H.T)
-        eig = np.linalg.eigvalsh(H)
+        assert np.array_equal(H.Huu, H.Huu.T)
+        assert np.array_equal(H.Hx, H.Hx.T)
+        qp.H = H
+        H_red = condense(qp)[2]
+        assert np.array_equal(H_red, H_red.T)
+        Hd = assemble(H, 5)
+        eig = np.linalg.eigvalsh(Hd)
         # nonnegative up to roundoff relative to the largest eigenvalue
         assert eig.min() > -1e-12 * eig.max()
-        assert s @ H @ s > 0.0
+        assert s @ Hd @ s > 0.0
 
 
 def test_bfgs_damping_and_skip():
-    H = np.diag([2.0, 1.0])
+    H = seed_hessian([[2.0]], [[1.0]])   # diag(2, 1)
     s = np.array([1.0, 0.0])
     y = -s                               # s'y < 0: undamped update would fail
-    Hn = bfgs_update(H, s, y)
+    Hn = assemble(bfgs_update(H, s, y), 2)
     assert np.all(np.linalg.eigvalsh(Hn) > 0.0)
     # curvature along s is damped toward (1 - damping) * s'Hs
-    assert s @ Hn @ s == pytest.approx(0.2 * (s @ H @ s), rel=1e-12)
+    assert s @ Hn @ s == pytest.approx(0.2 * (s @ (H @ s)), rel=1e-12)
     assert bfgs_update(H, np.zeros(2), y) is H
 
 
 def test_bfgs_secant_equation_when_undamped():
-    H = np.eye(3)
+    H = seed_hessian(np.eye(1), np.eye(2))
     s = np.array([0.5, -0.2, 0.1])
     y = 2.0 * s                          # strong curvature: no damping
-    Hn = bfgs_update(H, s, y)
+    Hn = assemble(bfgs_update(H, s, y), 3)
     assert np.allclose(Hn @ s, y, rtol=0, atol=1e-12)
 
 
@@ -83,7 +154,10 @@ def reference_objective_hessian(problem, reg, seed_u):
 
 def test_objective_hessian_structure():
     problem = make_problem(small_config())
-    H = objective_hessian(problem)
+    nw = problem.Nc * 6
+    seed = objective_hessian(problem)
+    assert seed.Vp.shape == seed.Vm.shape == (nw, 0)
+    H = assemble(seed, nw)
     assert np.array_equal(H, H.T)
     assert np.all(np.linalg.eigvalsh(H) > 0.0)
     n_u, n_x = 2, 4
@@ -92,7 +166,8 @@ def test_objective_hessian_structure():
     ou, ou2 = 0, n_u + n_x
     assert np.allclose(H[ou:ou + n_u, ou2:ou2 + n_u], -qb, rtol=0, atol=0)
     for reg, seed_u in ((1e-6, 0.04), (0.3, 1.7)):
-        assert np.array_equal(objective_hessian(problem, reg, seed_u),
+        assert np.array_equal(assemble(objective_hessian(problem, reg,
+                                                         seed_u), nw),
                               reference_objective_hessian(problem, reg,
                                                           seed_u))
 
