@@ -111,7 +111,7 @@ class RunConfig:
         if np.any(self.u_min > self.u_max):
             raise ConfigError("u_min: exceeds u_max")
         for name in ("qz", "qdu"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
+            if not np.all(np.asarray(getattr(self, name)) >= 0):
                 raise ConfigError(f"{name}: weights must be nonnegative, "
                                   f"got {getattr(self, name)!r}")
         return self

@@ -227,7 +227,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "max_sqp_iter = 0",
     "qz = [1, 2, 3]", "x0 = [1, 2]", "d = 5", "u_prev = [300]",
     "u_min = [0, 0, 0]", "setpoint_second = [30]", "qdu = [0.1, 0.1, 0.1]",
-    "qz = [-10, -10]", "qdu = [0.1, -0.1]"])
+    "qz = [-10, -10]", "qdu = [0.1, -0.1]", "qz = [nan, nan]"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

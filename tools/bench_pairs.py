@@ -1,12 +1,11 @@
 """Before/after benchmark of two checkouts, written to one BENCH_*.json.
 
-    python3 tools/bench_pairs.py BASE CHANGE --out BENCH_tag.json \
-        [--pairs 10] [--seconds 35] [--workloads converge long-horizon ivp] \
-        [--no-trace] [--no-sweep]
+    python3 tools/bench_pairs.py BASE CHANGE --out BENCH_tag.json
 
 BASE and CHANGE are checkouts of this repository (for example the parent
 commit and the change, each cloned into its own directory). For every
-workload, pair i runs `perfbench/run.py --seed i+1 --trace 0` once in each
+workload, each of the ten pairs i runs
+`perfbench/run.py --seed i+1 --seconds 35 --trace 0` once in each
 checkout, the base first in even pairs and the change first in odd ones.
 The file records every run, and per workload and metric each side's
 median and quartiles, the number of pairs the change won and the bound
@@ -26,6 +25,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("converge", "long-horizon", "ivp")
+PAIRS = 10
+SECONDS = 35
 COUNTS = ("converged", "sqp_iters", "qp_iters", "f_evals", "jac_x_evals",
           "jac_u_evals", "lu_factorizations")
 
@@ -53,14 +54,14 @@ def revision(checkout):
                               "--untracked-files=no"))}
 
 
-def perfbench(checkout, workload, seed, seconds, trace):
+def perfbench(checkout, workload, seed, trace):
     """The detail line and the result line of one perfbench run."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
+         "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
-        timeout=20 * seconds + 300)
+        timeout=20 * SECONDS + 300)
     detail, result = out.stdout.strip().splitlines()[-2:]
     detail, result = json.loads(detail), json.loads(result)
     return {"seed": seed, "digest": detail["digest"],
@@ -133,48 +134,39 @@ def main(argv=None):
     ap.add_argument("base", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                    default=list(WORKLOADS))
-    ap.add_argument("--no-trace", action="store_true")
-    ap.add_argument("--no-sweep", action="store_true")
     args = ap.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
 
     report = {"revisions": {s: revision(p) for s, p in sides.items()},
-              "pairs": args.pairs, "seconds": args.seconds,
+              "pairs": PAIRS, "seconds": SECONDS,
               "workloads": {}, "traced": {}}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             run = {"pair": i, "first": order[0]}
             for side in order:
-                run[side] = perfbench(sides[side], workload, i + 1,
-                                      args.seconds, 0)
+                run[side] = perfbench(sides[side], workload, i + 1, 0)
                 report.setdefault("machine", run[side].pop("machine"))
                 print(workload, i, side, run[side]["metrics"]["wall_s"],
                       file=sys.stderr)
             runs.append(run)
         report["workloads"][workload] = {
             "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
-        if not args.no_trace:
-            traced = {}
-            for side, path in sides.items():
-                traced[side] = perfbench(path, workload, 1, args.seconds, 1)
-                traced[side].pop("machine")
-            report["traced"][workload] = traced
+        traced = {}
+        for side, path in sides.items():
+            traced[side] = perfbench(path, workload, 1, 1)
+            traced[side].pop("machine")
+        report["traced"][workload] = traced
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    if not args.no_sweep:
-        results = {side: sweep(path) for side, path in sides.items()}
-        moved, kkt_rel = moved_rows(results["base"], results["change"])
-        report["sweep"] = {
-            "blas_threads": 1,
-            **{side: sweep_summary(r) for side, r in results.items()},
-            "moved_rows": moved,
-            "max_kkt_rel_change_of_unmoved_rows": kkt_rel}
+    results = {side: sweep(path) for side, path in sides.items()}
+    moved, kkt_rel = moved_rows(results["base"], results["change"])
+    report["sweep"] = {
+        "blas_threads": 1,
+        **{side: sweep_summary(r) for side, r in results.items()},
+        "moved_rows": moved,
+        "max_kkt_rel_change_of_unmoved_rows": kkt_rel}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 
