@@ -108,8 +108,17 @@ class RunConfig:
             if np.shape(getattr(self, name)) != (n,):
                 raise ConfigError(f"{name}: expected {n} values, "
                                   f"got {getattr(self, name)!r}")
-        if np.any(self.u_min > self.u_max):
-            raise ConfigError("u_min: exceeds u_max")
+        for name in ("x0", "d", "u_prev", "setpoint_first",
+                     "setpoint_second"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name}: expected finite values, "
+                                  f"got {getattr(self, name)!r}")
+        # an input may be unbounded below or above; NaN fails every test
+        lo, hi = np.asarray(self.u_min), np.asarray(self.u_max)
+        if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+            raise ConfigError(f"u_min, u_max: need u_min <= u_max, "
+                              f"u_min < inf and u_max > -inf, got {lo!r} "
+                              f"and {hi!r}")
         for name in ("qz", "qdu"):
             if not np.all(np.asarray(getattr(self, name)) >= 0):
                 raise ConfigError(f"{name}: weights must be nonnegative, "
@@ -118,9 +127,7 @@ class RunConfig:
 
     @property
     def mode(self):
-        return {"iterated": SensitivityMode.ITERATED,
-                "direct": SensitivityMode.DIRECT,
-                "base": SensitivityMode.BASE_DIRECT}[self.sens]
+        return SensitivityMode(self.sens)
 
 
 @dataclass
@@ -220,13 +227,8 @@ def _write_trajectory(config, problem, w, out_dir):
     return path
 
 
-def _run_point(args):
-    config, out_dir = args
-    return run_single(config, out_dir)
-
-
-def run_sweep(base_config, n_list=SWEEP_N, out_dir=None, jobs=1,
-              methods=METHODS, sens_modes=SENS_MODES, row_sink=None):
+def run_sweep(base_config, n_list=SWEEP_N, jobs=1, methods=METHODS,
+              sens_modes=SENS_MODES, row_sink=None):
     """Solve every (method, sens, N) combination; failures become rows.
 
     Results are ordered by (method, sens, N) regardless of completion
@@ -241,10 +243,8 @@ def run_sweep(base_config, n_list=SWEEP_N, out_dir=None, jobs=1,
         p.validate()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _collect(pool.map(_run_point,
-                                     [(p, out_dir) for p in points]),
-                            row_sink)
-    return _collect((run_single(p, out_dir) for p in points), row_sink)
+            return _collect(pool.map(run_single, points), row_sink)
+    return _collect((run_single(p) for p in points), row_sink)
 
 
 def _collect(rows, row_sink):
@@ -258,12 +258,11 @@ def _collect(rows, row_sink):
     return stats
 
 
-def run_low_tol_experiment(base_config, out_dir=None, jobs=1, row_sink=None):
+def run_low_tol_experiment(base_config, jobs=1, row_sink=None):
     """Short control interval, tight tolerances, all method/sens pairs."""
     config = replace(base_config, Ts=2.0, N=10, tol_sqp=1e-6, tol_qp=1e-10,
                      abs=1e-10, rel=1e-10)
-    return run_sweep(config, n_list=(10,), out_dir=out_dir, jobs=jobs,
-                     row_sink=row_sink)
+    return run_sweep(config, n_list=(10,), jobs=jobs, row_sink=row_sink)
 
 
 def stats_to_csv(stats, include_walltime=True):

@@ -103,7 +103,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     config = config_from_args(args)
-    stats = run_sweep(config, n_list=SWEEP_N, out_dir=None, jobs=args.jobs)
+    stats = run_sweep(config, n_list=SWEEP_N, jobs=args.jobs)
     _emit(stats, args)
     return 0
 

@@ -4,7 +4,10 @@ The subproblem minimizes 0.5 p'Hp + g'p subject to the linearized
 continuity constraints and simple bounds on the input components of p.
 The shooting structure lets the state components be eliminated exactly
 (condensing), leaving a bound-constrained QP in the input steps that a
-primal active-set method solves with warm starts.
+primal active-set method solves with warm starts. Its working set is one
+signed integer vector with an entry per input step (-1 on the lower
+bound, +1 on the upper, 0 free), so each iteration is array operations
+on it.
 
 H is a `ShootingHessian`: a seed without input-state coupling plus a
 low-rank quasi-Newton correction. It is applied to vectors and condensed
@@ -48,7 +51,9 @@ class ShootingHessian:
 @dataclass
 class QpProblem:
     """min 0.5 p'Hp + g'p  s.t.  p_x(n+1) = A_n p_x(n) + B_n p_u(n) + e_n,
-    lb <= p_u <= ub (p_x(0) = 0)."""
+    lb <= p_u <= ub (p_x(0) = 0).
+
+    The sizes Nc, n_x and n_u are read from the shape of B."""
     H: ShootingHessian     # seed blocks plus low-rank BFGS columns
     g: np.ndarray
     A: np.ndarray          # (Nc, n_x, n_x)
@@ -56,9 +61,6 @@ class QpProblem:
     e: np.ndarray          # (Nc, n_x)
     lb: np.ndarray         # (Nc, n_u) bounds on the input steps
     ub: np.ndarray
-    n_x: int
-    n_u: int
-    Nc: int
 
 
 @dataclass
@@ -80,7 +82,7 @@ def condense(q):
     H_red = Huu + (L'Zx)'(L'Zx) + Pp Pp' - Pm Pm'. Every term is a product
     X'X, so H_red is exactly symmetric.
     """
-    n_x, n_u, Nc = q.n_x, q.n_u, q.Nc
+    Nc, n_x, n_u = q.B.shape
     nw = Nc * (n_x + n_u)
     nu = Nc * n_u
     H = q.H
@@ -111,66 +113,55 @@ def condense(q):
     return Z, y0, H_red, g_red
 
 
-def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, warm_active):
+def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, side):
     """Primal active-set method for min 0.5 q'Hq + g'q, lb <= q <= ub.
 
-    The iteration count is the number of working-set changes plus the
-    final optimality check. Ties in the blocking-constraint choice break
-    toward the lowest variable index.
+    The working set is the integer vector `side`, one entry per variable:
+    -1 holds q_i at lb_i, +1 at ub_i, 0 leaves it free. The start point
+    puts each held variable on its bound and the free ones at 0, snapped
+    to a bound within 1e-14 (a fixed variable, lb_i == ub_i, joins the
+    working set). The iteration count is the number of working-set
+    changes plus the final optimality check. Ties in the choice of the
+    dropped or the blocking bound break toward the lowest variable index.
+    Returns (q, grad, side, iterations, status); side is updated in place.
     """
-    n = len(g)
-    working = {}                    # index -> 'lb' | 'ub'
-    q = np.zeros(n)
-    if warm_active:
-        for i, side in warm_active:
-            if i < n:
-                working[i] = side
-                q[i] = lb[i] if side == "lb" else ub[i]
+    q = np.where(side < 0, lb, np.where(side > 0, ub, 0.0))
     # bounds active at the start point must be in the working set
-    for i in range(n):
-        if i not in working:
-            if q[i] <= lb[i] + 1e-14:
-                q[i] = lb[i]
-                if lb[i] == ub[i]:
-                    working[i] = "lb"
-            elif q[i] >= ub[i] - 1e-14:
-                q[i] = ub[i]
+    at_lb = (side == 0) & (q <= lb + 1e-14)
+    at_ub = (side == 0) & ~at_lb & (q >= ub - 1e-14)
+    q[at_lb] = lb[at_lb]
+    q[at_ub] = ub[at_ub]
+    side[at_lb & (lb == ub)] = -1
     iters = 0
     for _ in range(max_iter):
         grad = H @ q + g
-        free = np.array([i for i in range(n) if i not in working], dtype=int)
-        d = np.zeros(n)
-        if free.size:
+        free = side == 0
+        d = np.zeros(len(g))
+        if free.any():
             d[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
         if np.abs(d).max(initial=0.0) <= qp_tol:
             # multiplier check at the candidate optimum
             iters += 1
-            worst, worst_val = None, -qp_tol
-            for i in sorted(working):
-                mult = grad[i] if working[i] == "lb" else -grad[i]
-                if mult < worst_val:
-                    worst, worst_val = i, mult
-            if worst is None:
-                return q, grad, working, iters, "Optimal"
-            del working[worst]
+            mult = np.where(free, np.inf, -side * grad)
+            worst = np.argmin(mult)
+            if not mult[worst] < -qp_tol:
+                return q, grad, side, iters, "Optimal"
+            side[worst] = 0
             continue
-        # longest feasible step along d
-        alpha, blocking, side = 1.0, None, None
-        for i in free:
-            if d[i] > 0 and ub[i] < np.inf:
-                a = (ub[i] - q[i]) / d[i]
-                if a < alpha - 1e-16:
-                    alpha, blocking, side = a, i, "ub"
-            elif d[i] < 0 and lb[i] > -np.inf:
-                a = (lb[i] - q[i]) / d[i]
-                if a < alpha - 1e-16:
-                    alpha, blocking, side = a, i, "lb"
-        q = q + alpha * d
-        if blocking is not None:
-            q[blocking] = lb[blocking] if side == "lb" else ub[blocking]
-            working[blocking] = side
+        # longest feasible step along d; infinite bounds never block
+        ratio = np.full(len(g), np.inf)
+        up, down = free & (d > 0), free & (d < 0)
+        ratio[up] = (ub[up] - q[up]) / d[up]
+        ratio[down] = (lb[down] - q[down]) / d[down]
+        blocking = np.argmin(ratio)
+        if ratio[blocking] < 1.0 - 1e-16:
+            q = q + ratio[blocking] * d
+            side[blocking] = 1 if d[blocking] > 0 else -1
+            q[blocking] = ub[blocking] if d[blocking] > 0 else lb[blocking]
             iters += 1
-    return q, H @ q + g, working, iters, "IterationLimit"
+        else:
+            q = q + d
+    return q, H @ q + g, side, iters, "IterationLimit"
 
 
 def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_active=None):
@@ -178,26 +169,25 @@ def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_active=None):
 
     Returns the full-space step, the continuity multipliers from a backward
     recursion, and the bound multipliers read off the reduced gradient.
+    warm_active and the returned active_set are (index, 'lb' | 'ub') pairs.
     """
     Z, y0, H_red, g_red = condense(q)
-    lb = q.lb.ravel()
-    ub = q.ub.ravel()
-    qu, rgrad, working, iters, status = _solve_bound_qp(
-        H_red, g_red, lb, ub, qp_tol, max_iter, warm_active)
+    Nc, n_x, n_u = q.B.shape
+    side = np.zeros(Nc * n_u, dtype=int)
+    if warm_active:
+        index, bound = zip(*warm_active)
+        side[list(index)] = np.where(np.array(bound) == "lb", -1, 1)
+    qu, rgrad, side, iters, status = _solve_bound_qp(
+        H_red, g_red, q.lb.ravel(), q.ub.ravel(), qp_tol, max_iter, side)
     p = Z @ qu + y0
-    n_x, n_u, Nc = q.n_x, q.n_u, q.Nc
     gfull = (q.H @ p + q.g).reshape(Nc, n_u + n_x)
     lam = -gfull[:, n_u:]
     for n in range(Nc - 2, -1, -1):
         lam[n] += q.A[n + 1].T @ lam[n + 1]
-    mu_lower = np.zeros(Nc * n_u)
-    mu_upper = np.zeros(Nc * n_u)
-    for i, side in working.items():
-        if side == "lb":
-            mu_lower[i] = rgrad[i]
-        else:
-            mu_upper[i] = -rgrad[i]
-    return QpSolution(p=p, lambda_eq=lam, mu_lower=mu_lower,
-                      mu_upper=mu_upper, iterations=max(iters, 1),
-                      status=status,
-                      active_set=tuple(sorted(working.items())))
+    active = np.flatnonzero(side)
+    bound = np.where(side[active] < 0, "lb", "ub")
+    return QpSolution(p=p, lambda_eq=lam,
+                      mu_lower=np.where(side < 0, rgrad, 0.0),
+                      mu_upper=np.where(side > 0, -rgrad, 0.0),
+                      iterations=max(iters, 1), status=status,
+                      active_set=tuple(zip(active.tolist(), bound.tolist())))

@@ -87,8 +87,10 @@ def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):
     feasibility = np.abs(ev.c).max()
     bound_viol = max(np.maximum(lb - u, 0.0).max(),
                      np.maximum(u - ub, 0.0).max())
-    comp = max(np.abs(mu_lower * (u - lb)).max(),
-               np.abs(mu_upper * (ub - u)).max())
+    # only where a multiplier is nonzero: 0 * inf at an infinite bound
+    lo, hi = mu_lower != 0, mu_upper != 0
+    comp = max(np.abs(mu_lower[lo] * (u - lb)[lo]).max(initial=0.0),
+               np.abs(mu_upper[hi] * (ub - u)[hi]).max(initial=0.0))
     return max(stationarity, feasibility, bound_viol, comp)
 
 
@@ -186,8 +188,7 @@ def solve_ocp(problem, settings, w0, counters=None):
             break
         it += 1
         qp = QpProblem(H=H, g=ev.grad, A=ev.A, B=ev.B, e=-ev.c,
-                       lb=problem.u_min - w.U, ub=problem.u_max - w.U,
-                       n_x=w.n_x, n_u=w.n_u, Nc=w.Nc)
+                       lb=problem.u_min - w.U, ub=problem.u_max - w.U)
         sol = solve_qp(qp, settings.tol_qp, settings.max_qp_iter, warm_active)
         qp_total += sol.iterations
         if sol.status != "Optimal":

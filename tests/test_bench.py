@@ -34,6 +34,10 @@ def test_config_validation():
         RunConfig(tol_sqp=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(u_min=np.array([600.0, 0.0])).validate()
+    for bound in (np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            RunConfig(u_min=np.full(2, bound),
+                      u_max=np.full(2, bound)).validate()
     assert RunConfig().validate() is not None
 
 
@@ -128,7 +132,7 @@ def test_sweep_covers_grid_and_keeps_failures():
 def test_sweep_streams_rows_as_solved(monkeypatch):
     events = []
 
-    def solve(config, out_dir=None):
+    def solve(config):
         events.append(("solved", config.N))
         return RunStats(config.method, config.sens, config.N, True, 1, 1,
                         0.0, 1, 1, 1, 1, 0.0)
@@ -211,6 +215,14 @@ def test_cli_config_file_with_override(tmp_path, capsys):
     assert row[2] == "2"                   # the flag overrides the file
 
 
+def test_cli_solves_unbounded_inputs(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Nc = 6\nN = 2\nu_min = [-inf, -inf]\n")
+    assert main(["solve", "--config", str(cfg)]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row[COLUMNS.index("converged")] == "true"
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
@@ -227,7 +239,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "max_sqp_iter = 0",
     "qz = [1, 2, 3]", "x0 = [1, 2]", "d = 5", "u_prev = [300]",
     "u_min = [0, 0, 0]", "setpoint_second = [30]", "qdu = [0.1, 0.1, 0.1]",
-    "qz = [-10, -10]", "qdu = [0.1, -0.1]", "qz = [nan, nan]"])
+    "qz = [-10, -10]", "qdu = [0.1, -0.1]", "qz = [nan, nan]",
+    "x0 = [nan, 1, 1, 1]", "d = [0, 0, inf, 100]", "u_prev = [300, nan]",
+    "setpoint_first = [-inf, 30]", "setpoint_second = [30, nan]",
+    "u_max = [nan, 500]", "u_min = [nan, 0]"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

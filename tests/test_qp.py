@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from esdirkopt.nlp import DecisionVector
-from esdirkopt.qp import QpProblem, ShootingHessian, condense, solve_qp
+from esdirkopt.qp import (QpProblem, ShootingHessian, _solve_bound_qp, condense,
+                          solve_qp)
 
 
 def assemble(H, nw):
@@ -22,12 +23,11 @@ def random_problem(rng, Nc=4, n_x=3, n_u=2, bound_scale=10.0):
     e = rng.standard_normal((Nc, n_x))
     lb = np.full((Nc, n_u), -bound_scale)
     ub = np.full((Nc, n_u), bound_scale)
-    return QpProblem(H=H, g=g, A=A, B=B, e=e, lb=lb, ub=ub,
-                     n_x=n_x, n_u=n_u, Nc=Nc)
+    return QpProblem(H=H, g=g, A=A, B=B, e=e, lb=lb, ub=ub)
 
 
 def dense_equality_matrix(q):
-    n_x, n_u, Nc = q.n_x, q.n_u, q.Nc
+    Nc, n_x, n_u = q.B.shape
     nw = Nc * (n_x + n_u)
     E = np.zeros((Nc * n_x, nw))
     for n in range(Nc):
@@ -49,7 +49,7 @@ def test_condensing_parameterizes_feasible_set():
     rhs = -q.e.ravel()
     # every q_u maps to a feasible p, and H_red stays positive definite
     for _ in range(3):
-        qu = rng.standard_normal(q.Nc * q.n_u)
+        qu = rng.standard_normal(q.lb.size)
         p = Z @ qu + y0
         assert np.allclose(E @ p, rhs, rtol=0, atol=1e-10)
     assert np.all(np.linalg.eigvalsh(H_red) > 0.0)
@@ -86,7 +86,7 @@ def test_unconstrained_matches_dense_kkt():
     # residual convention is c_n = x_{n+1} - F_n, i.e. -E rows)
     grad = q.H @ sol.p + q.g
     lam_dense = np.linalg.lstsq(E.T, -grad, rcond=None)[0]
-    assert np.allclose(lam_dense.reshape(q.Nc, q.n_x), -sol.lambda_eq,
+    assert np.allclose(lam_dense.reshape(q.e.shape), -sol.lambda_eq,
                        rtol=0, atol=1e-7)
 
 
@@ -95,7 +95,8 @@ def test_active_bounds_and_multipliers():
     q = random_problem(rng, bound_scale=0.05)
     sol = solve_qp(q)
     assert sol.status == "Optimal"
-    u_steps = DecisionVector(sol.p, q.n_x, q.n_u, q.Nc).U.ravel()
+    Nc, n_x, n_u = q.B.shape
+    u_steps = DecisionVector(sol.p, n_x, n_u, Nc).U.ravel()
     assert np.all(u_steps >= q.lb.ravel() - 1e-10)
     assert np.all(u_steps <= q.ub.ravel() + 1e-10)
     assert np.any(np.isclose(np.abs(u_steps), 0.05, atol=1e-10))
@@ -117,10 +118,11 @@ def test_bounded_solution_optimal_over_feasible_samples():
     def reduced_obj(qu):
         return 0.5 * qu @ H_red @ qu + g_red @ qu
 
-    qu_star = DecisionVector(sol.p, q.n_x, q.n_u, q.Nc).U.ravel()
+    Nc, n_x, n_u = q.B.shape
+    qu_star = DecisionVector(sol.p, n_x, n_u, Nc).U.ravel()
     f_star = reduced_obj(qu_star)
     for _ in range(200):
-        trial = rng.uniform(-0.1, 0.1, size=q.Nc * q.n_u)
+        trial = rng.uniform(-0.1, 0.1, size=q.lb.size)
         assert reduced_obj(trial) >= f_star - 1e-9
 
 
@@ -142,3 +144,155 @@ def test_iteration_limit_status():
     assert sol.status in ("Optimal", "IterationLimit")
     sol2 = solve_qp(q, max_iter=0)
     assert sol2.status == "IterationLimit"
+
+
+def reference_bound_qp(H, g, lb, ub, qp_tol, max_iter, warm_active):
+    """The active-set method with the working set as an index -> 'lb' | 'ub'
+    dict and the multiplier and ratio tests as scans in index order: the
+    reference that `qp._solve_bound_qp` must reproduce bit for bit."""
+    n = len(g)
+    working = {}
+    q = np.zeros(n)
+    if warm_active:
+        for i, side in warm_active:
+            if i < n:
+                working[i] = side
+                q[i] = lb[i] if side == "lb" else ub[i]
+    for i in range(n):
+        if i not in working:
+            if q[i] <= lb[i] + 1e-14:
+                q[i] = lb[i]
+                if lb[i] == ub[i]:
+                    working[i] = "lb"
+            elif q[i] >= ub[i] - 1e-14:
+                q[i] = ub[i]
+    iters = 0
+    for _ in range(max_iter):
+        grad = H @ q + g
+        free = np.array([i for i in range(n) if i not in working], dtype=int)
+        d = np.zeros(n)
+        if free.size:
+            d[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
+        if np.abs(d).max(initial=0.0) <= qp_tol:
+            iters += 1
+            worst, worst_val = None, -qp_tol
+            for i in sorted(working):
+                mult = grad[i] if working[i] == "lb" else -grad[i]
+                if mult < worst_val:
+                    worst, worst_val = i, mult
+            if worst is None:
+                return q, grad, working, iters, "Optimal"
+            del working[worst]
+            continue
+        alpha, blocking, side = 1.0, None, None
+        for i in free:
+            if d[i] > 0 and ub[i] < np.inf:
+                a = (ub[i] - q[i]) / d[i]
+                if a < alpha - 1e-16:
+                    alpha, blocking, side = a, i, "ub"
+            elif d[i] < 0 and lb[i] > -np.inf:
+                a = (lb[i] - q[i]) / d[i]
+                if a < alpha - 1e-16:
+                    alpha, blocking, side = a, i, "lb"
+        q = q + alpha * d
+        if blocking is not None:
+            q[blocking] = lb[blocking] if side == "lb" else ub[blocking]
+            working[blocking] = side
+            iters += 1
+    return q, H @ q + g, working, iters, "IterationLimit"
+
+
+def reference_solve(q, max_iter, warm_active):
+    """solve_qp's step, bound multipliers, working set, iteration count and
+    status, with the reference method and the multipliers read off the
+    working set one entry at a time."""
+    Z, y0, H_red, g_red = condense(q)
+    qu, rgrad, working, iters, status = reference_bound_qp(
+        H_red, g_red, q.lb.ravel(), q.ub.ravel(), 1e-8, max_iter,
+        warm_active)
+    mu_lower = np.zeros(len(qu))
+    mu_upper = np.zeros(len(qu))
+    for i, side in working.items():
+        if side == "lb":
+            mu_lower[i] = rgrad[i]
+        else:
+            mu_upper[i] = -rgrad[i]
+    return (Z @ qu + y0, mu_lower, mu_upper, tuple(sorted(working.items())),
+            max(iters, 1), status)
+
+
+def bounded_problem(rng, kind):
+    """A random shooting QP with 12 input steps whose tight bounds activate
+    several constraints; `kind` adds fixed inputs (lb == ub), infinite
+    bounds, or bounds on or within 1e-14 of the start point 0."""
+    q = random_problem(rng, Nc=6)
+    q.lb = -rng.uniform(0.0, 0.5, q.lb.shape)
+    q.ub = rng.uniform(0.0, 0.5, q.ub.shape)
+    pick = rng.random(q.lb.shape)
+    if kind == "fixed":
+        q.lb[pick < 0.1] = q.ub[pick < 0.1] = 0.0
+        q.lb[pick > 0.8] = q.ub[pick > 0.8]
+        q.ub[pick < 0.2] = q.lb[pick < 0.2]
+    elif kind == "infinite":
+        q.lb[pick < 0.4] = -np.inf
+        q.ub[pick > 0.6] = np.inf
+    elif kind == "at_start":
+        q.lb[pick < 0.3] = np.where(pick[pick < 0.3] < 0.15, 0.0, -5e-15)
+        q.ub[pick > 0.7] = np.where(pick[pick > 0.7] > 0.85, 0.0, 5e-15)
+    return q
+
+
+@pytest.mark.parametrize("start", ["cold", "warm", "random"])
+@pytest.mark.parametrize("kind", ["tight", "fixed", "infinite", "at_start"])
+def test_solver_matches_reference(kind, start):
+    rng = np.random.default_rng(["tight", "fixed", "infinite",
+                                 "at_start"].index(kind))
+    most_active = 0
+    for _ in range(6):
+        q = bounded_problem(rng, kind)
+        warm = None
+        if start == "warm":
+            # the working set of a nearby QP, as in the SQP iteration
+            e = q.e.copy()
+            q.e = e + 0.3 * rng.standard_normal(e.shape)
+            warm = reference_solve(q, 500, None)[3]
+            q.e = e
+        elif start == "random":
+            finite = np.flatnonzero(np.isfinite(q.lb.ravel())
+                                    & np.isfinite(q.ub.ravel()))
+            held = np.sort(rng.choice(finite, size=len(finite) // 2,
+                                      replace=False))
+            warm = tuple((int(i), str(rng.choice(["lb", "ub"])))
+                         for i in held)
+        for max_iter in (0, 1, 3, 500):
+            p, mu_lower, mu_upper, active, iters, status = reference_solve(
+                q, max_iter, warm)
+            sol = solve_qp(q, max_iter=max_iter, warm_active=warm)
+            assert np.array_equal(sol.p, p)
+            assert np.array_equal(sol.mu_lower, mu_lower)
+            assert np.array_equal(sol.mu_upper, mu_upper)
+            assert sol.active_set == active
+            assert (sol.iterations, sol.status) == (iters, status)
+            most_active = max(most_active, len(active))
+    assert most_active >= 3
+
+
+@pytest.mark.parametrize("g, side, ub0", [
+    (np.zeros(3), [1, 1, 1], 1.0),                   # equal multipliers
+    (np.full(3, -2.0), [0, 0, 0], 1.0),              # equal step ratios
+    (np.full(3, -1.0), [0, 0, 0], 1.0 - 2.0 ** -53),  # a ratio 1 ulp below 1
+])
+def test_ties_and_full_steps_match_reference(g, side, ub0):
+    # the lowest index wins a tie, and a step within 1e-16 of the full
+    # step is taken whole
+    H, lb, ub = np.eye(3), -np.ones(3), np.full(3, ub0)
+    warm = tuple((i, "ub") for i in np.flatnonzero(side))
+    for max_iter in (1, 2, 500):
+        ref_q, ref_grad, working, ref_iters, ref_status = reference_bound_qp(
+            H, g, lb, ub, 1e-8, max_iter, warm)
+        q, grad, new_side, iters, status = _solve_bound_qp(
+            H, g, lb, ub, 1e-8, max_iter, np.array(side))
+        assert np.array_equal(q, ref_q) and np.array_equal(grad, ref_grad)
+        assert working == {i: "lb" if new_side[i] < 0 else "ub"
+                           for i in np.flatnonzero(new_side)}
+        assert (iters, status) == (ref_iters, ref_status)

@@ -94,8 +94,7 @@ def test_bfgs_keeps_positive_definite():
     H = seed_hessian(np.eye(2), np.eye(3))      # the identity, n_u 2, n_x 3
     qp = QpProblem(H=H, g=np.ones(5), A=np.zeros((1, 3, 3)),
                    B=np.arange(6.0).reshape(1, 3, 2), e=np.ones((1, 3)),
-                   lb=-np.ones((1, 2)), ub=np.ones((1, 2)), n_x=3, n_u=2,
-                   Nc=1)
+                   lb=-np.ones((1, 2)), ub=np.ones((1, 2)))
     for _ in range(50):
         s = rng.standard_normal(5)
         y = rng.standard_normal(5)       # arbitrary, often s'y < 0
@@ -195,6 +194,22 @@ def test_kkt_violation_components():
     mu2 = mu.copy()
     mu2[0] = 1.0                      # u_0 = 300, far from its lower bound
     assert kkt_violation(ev, w, problem, lam, mu2, mu) >= 300.0
+
+
+def test_kkt_violation_infinite_bound():
+    # an infinite bound with a zero multiplier adds no complementarity
+    # term, and the other bound's term still counts
+    values = []
+    for lb0 in (-np.inf, -1e300):
+        problem = make_problem(small_config(Nc=6,
+                                            u_min=np.array([lb0, 0.0])))
+        w = DecisionVector.filled(300.0, 4, 2, 6)
+        ev = evaluate(problem, w, WorkCounters())
+        mu_upper = np.zeros(12)
+        mu_upper[1] = 1e4                 # u_max - u = 200
+        values.append(kkt_violation(ev, w, problem, np.zeros((6, 4)),
+                                    np.zeros(12), mu_upper))
+    assert values[0] == values[1] >= 2e6
 
 
 def reference_kkt(ev, w, problem, lam, mu_lower, mu_upper):
