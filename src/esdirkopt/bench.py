@@ -21,10 +21,10 @@ from .model import QuadrupleTank
 from .nlp import DecisionVector, OcpProblem
 from .sensitivity import SensitivityMode
 from .sqp import SqpSettings, solve_ocp
-from .tableau import make_tableau
+from .tableau import METHODS as TABLEAU_METHODS, make_tableau
 
-METHODS = ("esdirk12", "esdirk23", "esdirk34")
-SENS_MODES = ("iterated", "direct", "base")
+METHODS = tuple(name.lower() for name in TABLEAU_METHODS)
+SENS_MODES = tuple(mode.value for mode in SensitivityMode)
 SWEEP_N = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
 #: deterministic report column order
@@ -98,8 +98,10 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.tau > 1:
-            raise ConfigError(f"tau: must not exceed 1, got {self.tau}")
+        for name in ("tau", "tol_step"):
+            if getattr(self, name) > 1:
+                raise ConfigError(f"{name}: must not exceed 1, "
+                                  f"got {getattr(self, name)}")
         m = QuadrupleTank
         for name, n in (("x0", m.n_x), ("d", m.n_d), ("qz", m.n_z),
                         ("qdu", m.n_u), ("u_min", m.n_u), ("u_max", m.n_u),
@@ -176,7 +178,7 @@ def make_problem(config):
                                 np.asarray(config.setpoint_second, float)),
         u_prev=np.asarray(config.u_prev, float),
         d=np.asarray(config.d, float),
-        tableau=make_tableau(config.method.upper()),
+        tableau=make_tableau(config.method),
         mode=config.mode,
         newton=NewtonSettings(tau=config.tau, abs=config.abs,
                               rel=config.rel))
@@ -227,8 +229,7 @@ def _write_trajectory(config, problem, w, out_dir):
     return path
 
 
-def run_sweep(base_config, n_list=SWEEP_N, jobs=1, methods=METHODS,
-              sens_modes=SENS_MODES, row_sink=None):
+def run_sweep(base_config, n_list=SWEEP_N, jobs=1, row_sink=None):
     """Solve every (method, sens, N) combination; failures become rows.
 
     Results are ordered by (method, sens, N) regardless of completion
@@ -238,7 +239,7 @@ def run_sweep(base_config, n_list=SWEEP_N, jobs=1, methods=METHODS,
     if not n_list:
         raise ValueError("n_list must be nonempty")
     points = [replace(base_config, method=m, sens=s, N=int(n))
-              for m in methods for s in sens_modes for n in n_list]
+              for m in METHODS for s in SENS_MODES for n in n_list]
     for p in points:
         p.validate()
     if jobs > 1:
@@ -258,11 +259,11 @@ def _collect(rows, row_sink):
     return stats
 
 
-def run_low_tol_experiment(base_config, jobs=1, row_sink=None):
+def run_low_tol_experiment(base_config, jobs=1):
     """Short control interval, tight tolerances, all method/sens pairs."""
     config = replace(base_config, Ts=2.0, N=10, tol_sqp=1e-6, tol_qp=1e-10,
                      abs=1e-10, rel=1e-10)
-    return run_sweep(config, n_list=(10,), jobs=jobs, row_sink=row_sink)
+    return run_sweep(config, n_list=(10,), jobs=jobs)
 
 
 def stats_to_csv(stats, include_walltime=True):
@@ -281,11 +282,10 @@ def stats_to_json(stats, include_walltime=True):
 
 def stats_from_json(text):
     rows = json.loads(text)
-    out = []
-    for r in rows:
-        r.setdefault("wall_time", 0.0)
-        out.append(RunStats(**r))
-    return out
+    if not isinstance(rows, list) \
+            or not all(isinstance(r, dict) for r in rows):
+        raise ValueError("expected a list of row objects")
+    return [RunStats(**{"wall_time": 0.0, **r}) for r in rows]
 
 
 def _write_file(path, content):

@@ -7,11 +7,10 @@ Newton round evaluates the model once for all rows still iterating, and a
 single interval is the batch of one row. The sensitivity mode fixes the
 iteration matrix strategy (``strategy_of``): the base case takes a fresh
 Jacobian and factorization at every Newton iterate, every other mode one
-factorization of M_k = I - h*gamma*df/dx(x_k) per step. With a
-sensitivity mode, each stage is differentiated as it is solved (see
-``sensitivity``), so a step keeps no record of its Newton rounds. Work
-counters track every model evaluation and factorization exactly, row by
-row.
+factorization of M_k = I - h*gamma*df/dx(x_k) per step. Each stage is
+differentiated as it is solved (see ``sensitivity``), so a step keeps no
+record of its Newton rounds. Work counters track every model evaluation
+and factorization exactly, row by row.
 """
 
 import enum
@@ -74,8 +73,8 @@ class IntervalResult:
     integrate_interval with the batch axis dropped.
 
     ``step_sens`` holds the packed [d/dx0 | d/du] sensitivities after each
-    step, one (B, n_x, n_x + n_u) array per step and none without a
-    sensitivity mode; ``sens`` views the last of them.
+    step, one (B, n_x, n_x + n_u) array per step; ``sens`` views the last
+    of them.
     """
     x_final: np.ndarray          # (B, n_x)
     trajectory: np.ndarray       # (B, n_steps + 1, n_x)
@@ -83,9 +82,7 @@ class IntervalResult:
 
     @property
     def sens(self):
-        """SensitivityPair of the final state, None without sensitivities."""
-        if not self.step_sens:
-            return None
+        """SensitivityPair of the final state."""
         return SensitivityPair(self.step_sens[-1], self.x_final.shape[-1])
 
 
@@ -121,10 +118,8 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
     for k in range(n_steps):
         prev = esdirk_step(model, tab, settings, mode, x, sens, u, d, h,
                            prev, counters, svp)
-        x = prev["x_next"]
-        if mode is not SensitivityMode.NONE:
-            sens = prev["sens_next"]
-            step_sens.append(sens)
+        x, sens = prev["x_next"], prev["sens_next"]
+        step_sens.append(sens)
         traj[:, k + 1] = x
     return IntervalResult(x_final=x, trajectory=traj, step_sens=step_sens)
 
@@ -165,8 +160,7 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
     are propagated stage by stage next to the states (see ``sensitivity``).
 
     Returns the step record, a dict holding ``x_next``, the converged
-    ``stages``, the (B, s-1) Newton iteration counts ``newton_counts`` and,
-    with sensitivities, ``sens_next`` and the per-stage ``stage_sens``.
+    ``stages``, ``sens_next`` and the per-stage ``stage_sens``.
     Raises DomainError, NewtonDivergence or SingularMatrix with the failing
     row in ``batch_row``.
     """
@@ -176,7 +170,6 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
     n_x, n_u = model.n_x, model.n_u
     eye = np.eye(n_x)
     iterated = mode is SensitivityMode.ITERATED
-    with_sens = mode is not SensitivityMode.NONE
     reuse = strategy_of(mode) is NewtonStrategy.REUSE_PER_STEP
 
     jx_k, ju_k = model.jacobians_batch(x_k)
@@ -198,28 +191,24 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
 
     f_vals = [model.f_batch(x_k, u, d)]
     counters.f_evals += nb
-    if with_sens:
-        counters.jac_u_evals += nb
-        jx_i, ju_i, sens_i = jx_k, ju_k, sens_k
+    counters.jac_u_evals += nb
+    jx_i, ju_i, sens_i = jx_k, ju_k, sens_k
 
     stages = []
     stage_sens = []
-    stage_counts = []
     d_vals = []                      # packed dF_j = df/dx S_j + [0 | df/du]
     for idx in range(s - 1):
         i = idx + 2                      # 1-based stage index
         psi_i = x_k.copy()
         for j in range(i - 1):
             psi_i += h * tab.a[i - 1, j] * f_vals[j]
-        if with_sens:
-            d_vals.append(jx_i @ sens_i)     # of the previous stage
-            d_vals[-1][:, :, n_x:] += ju_i
-            dpsi_i = sens_k.copy()
-            for j in range(i - 1):
-                dpsi_i += h * tab.a[i - 1, j] * d_vals[j]
+        d_vals.append(jx_i @ sens_i)         # of the previous stage
+        d_vals[-1][:, :, n_x:] += ju_i
+        dpsi_i = sens_k.copy()
+        for j in range(i - 1):
+            dpsi_i += h * tab.a[i - 1, j] * d_vals[j]
         x_it = predictions[idx].copy()
         f_conv = np.empty_like(x_k)
-        counts = np.zeros(nb, dtype=int)
         active = np.arange(nb)
         if iterated:
             sens_it = sens_predictions[idx].copy()
@@ -271,17 +260,15 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                 jx_conv[upd] = jx_it
                 ju_conv[upd] = ju_it
             counters.newton_iterations += upd.size
-            counts[upd] += 1
             active = upd
             l += 1
 
         stages.append(x_it)
         f_vals.append(f_conv)
-        stage_counts.append(counts)
         if iterated:
             # converged-stage Jacobians: each row's last Newton round
             jx_i, ju_i, sens_i = jx_conv, ju_conv, sens_it
-        elif with_sens:
+        else:
             # one Jacobian evaluation at the converged stage serves the
             # direct and base solves; direct counts df/dx only where later
             # stages use it
@@ -295,12 +282,8 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                 fac = linalg.lu_factorize_batch(eye - hg * jx_i)
                 counters.lu_factorizations += nb
             sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
-        if with_sens:
-            stage_sens.append(sens_i)
+        stage_sens.append(sens_i)
 
-    rec = {"x_start": x_k, "x_next": stages[-1], "stages": stages,
-           "newton_counts": np.stack(stage_counts, axis=1)}
-    if with_sens:
-        rec.update(sens_in=sens_k, stage_sens=stage_sens,
-                   sens_next=stage_sens[-1])
-    return rec
+    return {"x_start": x_k, "x_next": stages[-1], "stages": stages,
+            "sens_in": sens_k, "stage_sens": stage_sens,
+            "sens_next": stage_sens[-1]}

@@ -9,6 +9,13 @@ from .integrator import WorkCounters
 from .nlp import DecisionVector, constraint_jacobian_transpose_times, evaluate
 from .qp import QpProblem, ShootingHessian, solve_qp
 
+ARMIJO_C1 = 1e-4          # sufficient decrease factor of the line search
+BACKTRACK_FACTOR = 0.5    # step length ratio between two line-search trials
+HESSIAN_REG = 1e-6        # identity shift that makes the Hessian seed definite
+HESSIAN_SEED_U = 0.04     # extra input curvature of the seed, per unit time
+BFGS_DAMPING = 0.2        # Powell damping threshold on s'y / s'Hs
+BFGS_SKIP_NORM = 1e-14    # shorter s or y leaves the BFGS matrix unchanged
+
 
 @dataclass
 class SqpSettings:
@@ -16,23 +23,13 @@ class SqpSettings:
     tol_qp: float = 1e-8
     tol_step: float = 1e-8
     max_sqp_iter: int = 200
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_qp_iter: int = 500
-    hessian_reg: float = 1e-6
-    hessian_seed_u: float = 0.04
 
     def __post_init__(self):
         if min(self.tol_kkt, self.tol_qp, self.tol_step) <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.armijo_c1 < 0.5:
-            raise ValueError("armijo_c1 must lie in (0, 0.5)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.hessian_reg > 0:
-            raise ValueError("hessian_reg must be positive")
-        if not self.hessian_seed_u >= 0:
-            raise ValueError("hessian_seed_u must be nonnegative")
+        # the line search tries alpha = 1 first: a larger tol_step tries none
+        if self.tol_step > 1:
+            raise ValueError("tol_step must not exceed 1")
 
 
 @dataclass
@@ -48,22 +45,25 @@ class SqpResult:
     objective: float = float("nan")
 
 
-def bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
+def bfgs_update(H, s, y):
     """Powell-damped BFGS update keeping H symmetric positive definite.
 
     H is a `ShootingHessian`; the update H - Hs Hs'/s'Hs + y y'/s'y is
     returned as a new one with y/sqrt(s'y) appended to Vp and
-    Hs/sqrt(s'Hs) to Vm. H itself is returned when s or y is too short.
+    Hs/sqrt(s'Hs) to Vm. When s'y < BFGS_DAMPING*s'Hs, y is first moved
+    toward Hs until s'y equals that bound. H itself is returned when s or
+    y is shorter than BFGS_SKIP_NORM.
     """
     s = np.asarray(s, float)
     y = np.asarray(y, float)
-    if np.linalg.norm(s) < skip_norm or np.linalg.norm(y) < skip_norm:
+    if np.linalg.norm(s) < BFGS_SKIP_NORM \
+            or np.linalg.norm(y) < BFGS_SKIP_NORM:
         return H
     Hs = H @ s
     sHs = s @ Hs
     sy = s @ y
-    if sy < damping * sHs:
-        theta = (1.0 - damping) * sHs / (sHs - sy)
+    if sy < BFGS_DAMPING * sHs:
+        theta = (1.0 - BFGS_DAMPING) * sHs / (sHs - sy)
         y = theta * y + (1.0 - theta) * Hs
         sy = s @ y
     return replace(H, Vp=np.column_stack([H.Vp, y / np.sqrt(sy)]),
@@ -94,41 +94,42 @@ def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):
     return max(stationarity, feasibility, bound_viol, comp)
 
 
-def objective_hessian(problem, reg=1e-6, seed_u=0.04):
+def objective_hessian(problem):
     """Gauss-Newton style seed for the BFGS Lagrangian Hessian.
 
     Approximates the tracking term's curvature by Ts*C'QzC on the state
     blocks (the state sensitivities over one interval are close to the
     identity) and adds the exact rate-penalty coupling on neighbouring
-    input blocks. A small multiple of the identity makes it positive
-    definite (the state blocks are rank deficient). Seeding BFGS with it
-    instead of the identity matches the problem's scales and cuts the
-    iteration count by more than an order of magnitude.
+    input blocks. The small multiple HESSIAN_REG of the identity makes it
+    positive definite (the state blocks are rank deficient). Seeding BFGS
+    with it instead of the identity matches the problem's scales and cuts
+    the iteration count by more than an order of magnitude.
 
-    seed_u (a per-unit-time rate, applied as seed_u*Ts like the tracking
-    curvature) adds extra curvature on the input diagonal. It keeps the
-    reduced steps of the final iterations short, so the line search on
-    the exact merit function acts as a guard: inconsistent (biased)
-    derivative information cannot ride a long step into a self-consistent
-    but wrong stationary point, it fails the Armijo test instead.
+    HESSIAN_SEED_U (a per-unit-time rate, applied as HESSIAN_SEED_U*Ts like
+    the tracking curvature) adds extra curvature on the input diagonal.
+    It keeps the reduced steps of the final iterations short, so the line
+    search on the exact merit function acts as a guard: inconsistent
+    (biased) derivative information cannot ride a long step into a
+    self-consistent but wrong stationary point, it fails the Armijo test
+    instead.
 
     The seed has no input-state coupling, so it is returned as a
     `ShootingHessian` with no low-rank columns: the block-tridiagonal
-    input part Huu and the one state block Hx = reg*I + Ts*C'QzC. With
-    reg > 0 and seed_u >= 0 (checked by `SqpSettings`) and positive
-    semidefinite Qz and rate weights, both are positive definite.
+    input part Huu and the one state block Hx = HESSIAN_REG*I + Ts*C'QzC.
+    With positive semidefinite Qz and rate weights, both are positive
+    definite.
     """
     m = problem.model
     n_x, n_u, Nc = m.n_x, m.n_u, problem.Nc
     C = m.output_matrix()
-    Hx = reg * np.eye(n_x) + problem.Ts * C.T @ problem.Qz @ C
-    Huu = reg * np.eye(Nc * n_u)
+    Hx = HESSIAN_REG * np.eye(n_x) + problem.Ts * C.T @ problem.Qz @ C
+    Huu = HESSIAN_REG * np.eye(Nc * n_u)
     # Hb[n, :, k, :] is the block of Huu coupling input n with input k
     Hb = Huu.reshape(Nc, n_u, Nc, n_u)
     n = np.arange(Nc)
     qb = problem.qdu_bar
     Hb[n[1:], :, n[1:]] += qb
-    Hb[n, :, n] += qb + seed_u * problem.Ts * np.eye(n_u)
+    Hb[n, :, n] += qb + HESSIAN_SEED_U * problem.Ts * np.eye(n_u)
     Hb[n[:-1], :, n[1:]] -= qb
     Hb[n[1:], :, n[:-1]] -= qb
     empty = np.zeros((Nc * (n_u + n_x), 0))
@@ -139,8 +140,10 @@ def line_search(problem, w, ev, p, mu_merit, settings, counters):
     """Backtracking Armijo search on the l1 merit M = phi + mu*||c||_1.
 
     Trial points where the evaluation fails count as infinite merit and
-    are backtracked past. Returns (alpha, w_new, ev_new) or (None,
-    all_failed) when no step above tol_step achieves sufficient decrease.
+    are backtracked past. Returns (alpha, w_new, ev_new, all_failed), or
+    (None, None, None, all_failed) when no step of at least tol_step
+    achieves sufficient decrease; all_failed tells whether every trial
+    evaluation failed.
     """
     merit0 = ev.phi + mu_merit * np.abs(ev.c).sum()
     deriv = ev.grad @ p - mu_merit * np.abs(ev.c).sum()
@@ -152,11 +155,11 @@ def line_search(problem, w, ev, p, mu_merit, settings, counters):
             ev_try = evaluate(problem, w_try, counters)
             all_failed = False
             merit = ev_try.phi + mu_merit * np.abs(ev_try.c).sum()
-            if merit <= merit0 + settings.armijo_c1 * alpha * deriv:
+            if merit <= merit0 + ARMIJO_C1 * alpha * deriv:
                 return alpha, w_try, ev_try, all_failed
         except EvaluationError:
             pass
-        alpha *= settings.backtrack_factor
+        alpha *= BACKTRACK_FACTOR
     return None, None, None, all_failed
 
 
@@ -172,8 +175,7 @@ def solve_ocp(problem, settings, w0, counters=None):
                          sqp_iterations=0, qp_iterations_total=0,
                          counters=counters, failure_reason="EvaluationFailure")
 
-    H = objective_hessian(problem, settings.hessian_reg,
-                          settings.hessian_seed_u)
+    H = objective_hessian(problem)
     lam = np.zeros(w.X.shape)
     mu_lower = np.zeros(w.U.size)
     mu_upper = np.zeros(w.U.size)
@@ -189,7 +191,7 @@ def solve_ocp(problem, settings, w0, counters=None):
         it += 1
         qp = QpProblem(H=H, g=ev.grad, A=ev.A, B=ev.B, e=-ev.c,
                        lb=problem.u_min - w.U, ub=problem.u_max - w.U)
-        sol = solve_qp(qp, settings.tol_qp, settings.max_qp_iter, warm_active)
+        sol = solve_qp(qp, settings.tol_qp, warm_active=warm_active)
         qp_total += sol.iterations
         if sol.status != "Optimal":
             reason = "IterationLimit"

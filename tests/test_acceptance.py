@@ -67,12 +67,12 @@ def test_tableau_order_conditions_and_structure():
 
 def test_observed_convergence_orders():
     t0 = time.perf_counter()
-    ref, _ = integrate("ESDIRK34", SensitivityMode.NONE, 1280, TIGHT)
+    ref, _ = integrate("ESDIRK34", SensitivityMode.DIRECT, 1280, TIGHT)
     ns = np.array([5, 10, 20, 40, 80])
     for method, order in (("ESDIRK12", 1), ("ESDIRK23", 2), ("ESDIRK34", 3)):
         errors = []
         for n in ns:
-            res, _ = integrate(method, SensitivityMode.NONE, int(n), TIGHT)
+            res, _ = integrate(method, SensitivityMode.DIRECT, int(n), TIGHT)
             errors.append(np.abs(res.x_final - ref.x_final).max())
         fitted = -np.polyfit(np.log(ns), np.log(errors), 1)[0]
         assert abs(fitted - order) < 0.25, (method, fitted)
@@ -157,12 +157,14 @@ def sweep_rows():
     return rows, elapsed
 
 
+@pytest.mark.slow
 def test_sweep_runtime_and_completeness(sweep_rows):
     rows, elapsed = sweep_rows
     assert elapsed < 300.0
     assert len(rows) == len(METHODS) * len(SENS_MODES) * len(SWEEP_N)
 
 
+@pytest.mark.slow
 def test_sweep_iterated_and_base_converge(sweep_rows):
     rows, _ = sweep_rows
     for s in rows:
@@ -170,6 +172,7 @@ def test_sweep_iterated_and_base_converge(sweep_rows):
             assert s.converged and s.kkt <= 1e-3, (s.method, s.sens, s.N)
 
 
+@pytest.mark.slow
 def test_sweep_direct_mostly_fails(sweep_rows):
     rows, _ = sweep_rows
     direct = [s for s in rows if s.sens == "direct"]
@@ -178,6 +181,7 @@ def test_sweep_direct_mostly_fails(sweep_rows):
     assert all(not s.converged for s in direct if s.method == "esdirk12")
 
 
+@pytest.mark.slow
 def test_sweep_base_costs_more_factorizations(sweep_rows):
     rows, _ = sweep_rows
     by_key = {(s.method, s.sens, s.N): s for s in rows}
@@ -192,6 +196,7 @@ def test_sweep_base_costs_more_factorizations(sweep_rows):
 
 # -- 7. low-tolerance experiment, qualitative --------------------------------
 
+@pytest.mark.slow
 def test_low_tolerance_experiment():
     start = time.perf_counter()
     rows = run_low_tol_experiment(RunConfig())
@@ -212,8 +217,8 @@ def test_counter_identities(method):
     s = make_tableau(method).s
     n_steps = 10
 
-    _, plain = integrate(method, SensitivityMode.NONE, n_steps)
-    assert plain.lu_factorizations == n_steps
+    _, direct = integrate(method, SensitivityMode.DIRECT, n_steps)
+    assert direct.lu_factorizations == n_steps
 
     _, refac = integrate(method, SensitivityMode.BASE_DIRECT, n_steps)
     # the base case factorizes once per Newton iteration, then s-1 fresh
@@ -224,7 +229,7 @@ def test_counter_identities(method):
     _, iterated = integrate(method, SensitivityMode.ITERATED, n_steps)
     # the replayed recursion reuses the state solve's factorization
     assert iterated.lu_factorizations == n_steps
-    assert iterated.newton_iterations == plain.newton_iterations
+    assert iterated.newton_iterations == direct.newton_iterations
 
 
 # -- 9. determinism -----------------------------------------------------------

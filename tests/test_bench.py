@@ -118,12 +118,10 @@ def test_run_single_writes_trajectory(tmp_path):
 
 def test_sweep_covers_grid_and_keeps_failures():
     # a one-iteration budget cannot converge: rows must still come out
-    stats = run_sweep(quick_config(max_sqp_iter=1), n_list=(1, 2),
-                      methods=("esdirk12",), sens_modes=("iterated", "base"))
-    assert len(stats) == 4
+    stats = run_sweep(quick_config(max_sqp_iter=1), n_list=(1, 2))
     assert [(s.method, s.sens, s.N) for s in stats] == [
-        ("esdirk12", "iterated", 1), ("esdirk12", "iterated", 2),
-        ("esdirk12", "base", 1), ("esdirk12", "base", 2)]
+        (m, sens, n) for m in ("esdirk12", "esdirk23", "esdirk34")
+        for sens in ("iterated", "direct", "base") for n in (1, 2)]
     assert not any(s.converged for s in stats)
     with pytest.raises(ValueError):
         run_sweep(quick_config(), n_list=())
@@ -138,12 +136,11 @@ def test_sweep_streams_rows_as_solved(monkeypatch):
                         0.0, 1, 1, 1, 1, 0.0)
 
     monkeypatch.setattr(bench, "run_single", solve)
-    rows = run_sweep(quick_config(), n_list=(1, 2, 3), methods=("esdirk12",),
-                     sens_modes=("iterated",),
+    rows = run_sweep(quick_config(), n_list=(1, 2, 3),
                      row_sink=lambda s: events.append(("sink", s.N)))
-    assert [s.N for s in rows] == [1, 2, 3]
-    assert events == [("solved", 1), ("sink", 1), ("solved", 2),
-                      ("sink", 2), ("solved", 3), ("sink", 3)]
+    assert [s.N for s in rows] == [1, 2, 3] * 9
+    assert events == [(event, n) for n in [1, 2, 3] * 9
+                      for event in ("solved", "sink")]
 
 
 def test_stats_csv_format():
@@ -232,11 +229,17 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]\n")
     assert main(["report", str(empty)]) == 2
+    # a table is a list of row objects
+    for k, text in enumerate(("[1, 2]", '["x"]', '{"a": 1}')):
+        table = tmp_path / f"table{k}.json"
+        table.write_text(text + "\n")
+        assert main(["report", str(table)]) == 2
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("line", [
-    "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "max_sqp_iter = 0",
+    "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "tol_step = 2.0",
+    "max_sqp_iter = 0",
     "qz = [1, 2, 3]", "x0 = [1, 2]", "d = 5", "u_prev = [300]",
     "u_min = [0, 0, 0]", "setpoint_second = [30]", "qdu = [0.1, 0.1, 0.1]",
     "qz = [-10, -10]", "qdu = [0.1, -0.1]", "qz = [nan, nan]",

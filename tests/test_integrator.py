@@ -29,8 +29,7 @@ def run_qts(method, mode, n_steps=10, settings=None, x0=X0, u=U0):
 def step_qts(method, mode, n_steps=10):
     """run_qts stepped by hand with esdirk_step on a batch of one row.
 
-    Returns the counters and the (n_steps, s-1) Newton iteration counts
-    of the stages of every step.
+    Returns the counters and the Newton iteration count of every step.
     """
     model, tab = QuadrupleTank(), make_tableau(method)
     svp = svp_coefficients(tab, 1.0)
@@ -39,10 +38,11 @@ def step_qts(method, mode, n_steps=10):
     sens = np.hstack((np.eye(4), np.zeros((4, 2))))[None]
     prev, counts = None, []
     for _ in range(n_steps):
+        before = counters.newton_iterations
         prev = esdirk_step(model, tab, NewtonSettings(), mode, x, sens,
                            U0[None], D0, 10.0 / n_steps, prev, counters, svp)
-        x, sens = prev["x_next"], prev.get("sens_next")
-        counts.append(prev["newton_counts"][0])
+        x, sens = prev["x_next"], prev["sens_next"]
+        counts.append(counters.newton_iterations - before)
     _, reference = run_qts(method, mode, n_steps)
     assert counters.as_dict() == reference.as_dict()
     return counters, np.array(counts)
@@ -78,7 +78,7 @@ def test_linear_model_convergence_order(method, order):
         counters = WorkCounters()
         res = integrate_interval(m, make_tableau(method),
                                  NewtonStrategy.REUSE_PER_STEP, TIGHT,
-                                 SensitivityMode.NONE, x0, u, None,
+                                 SensitivityMode.DIRECT, x0, u, None,
                                  0.0, 1.0, n, counters)
         errors.append(abs(res.x_final[0] - exact))
     rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -192,18 +192,20 @@ def test_strategy_equivalence_tight_tolerances():
 
 def test_min_one_newton_iteration():
     # even a perfect predictor performs at least one update per stage
-    m = LinearTestModel(0.0)       # f independent of x: residual exact
-    rec = esdirk_step(m, make_tableau("ESDIRK23"), NewtonSettings(),
-                      SensitivityMode.NONE, np.array([[1.0], [2.0]]), None,
-                      np.zeros((2, 1)), None, 0.1, None, WorkCounters(), None)
-    assert rec["newton_counts"].shape == (2, 2)
-    assert np.all(rec["newton_counts"] >= 1)
+    m = LinearTestModel(0.0)       # f = 0: the predictor x_k is exact
+    counters = WorkCounters()
+    esdirk_step(m, make_tableau("ESDIRK23"), NewtonSettings(),
+                SensitivityMode.DIRECT, np.array([[1.0], [2.0]]),
+                np.tile(np.eye(1, 2), (2, 1, 1)), np.zeros((2, 1)), None,
+                0.1, None, counters, None)
+    # exactly one update for each of the 2 rows and 2 implicit stages
+    assert counters.newton_iterations == 4
 
 
 def test_newton_divergence():
     settings = NewtonSettings(max_iterations=1)
     with pytest.raises(NewtonDivergence):
-        run_qts("ESDIRK23", SensitivityMode.NONE, n_steps=1,
+        run_qts("ESDIRK23", SensitivityMode.DIRECT, n_steps=1,
                 settings=settings, u=np.array([500.0, 500.0]),
                 x0=np.array([10.0, 10.0, 10.0, 10.0]))
 
@@ -220,10 +222,10 @@ def test_mode_strategy_contract():
     refactorize = NewtonStrategy.REFACTORIZE_EVERY_ITERATION
     assert {mode: strategy_of(mode) for mode in SensitivityMode} == {
         SensitivityMode.ITERATED: reuse, SensitivityMode.DIRECT: reuse,
-        SensitivityMode.BASE_DIRECT: refactorize, SensitivityMode.NONE: reuse}
+        SensitivityMode.BASE_DIRECT: refactorize}
     for mode, strategy in ((SensitivityMode.BASE_DIRECT, reuse),
                            (SensitivityMode.ITERATED, refactorize),
-                           (SensitivityMode.NONE, refactorize)):
+                           (SensitivityMode.DIRECT, refactorize)):
         with pytest.raises(ContractViolation):
             integrate_interval(QuadrupleTank(), make_tableau("ESDIRK23"),
                                strategy, NewtonSettings(), mode, X0, U0, D0,
@@ -232,18 +234,17 @@ def test_mode_strategy_contract():
 
 def test_interval_argument_validation():
     with pytest.raises(ValueError):
-        run_qts("ESDIRK23", SensitivityMode.NONE, n_steps=0)
+        run_qts("ESDIRK23", SensitivityMode.DIRECT, n_steps=0)
     counters = WorkCounters()
     with pytest.raises(ValueError):
         integrate_interval(QuadrupleTank(), make_tableau("ESDIRK23"),
                            NewtonStrategy.REUSE_PER_STEP, NewtonSettings(),
-                           SensitivityMode.NONE, X0, U0, D0, 5.0, 5.0, 10,
+                           SensitivityMode.DIRECT, X0, U0, D0, 5.0, 5.0, 10,
                            counters)
 
 
 def test_warm_start_reduces_newton_work():
-    _, counts = step_qts("ESDIRK34", SensitivityMode.NONE, n_steps=20)
-    per_step = counts.sum(axis=1)
+    _, per_step = step_qts("ESDIRK34", SensitivityMode.DIRECT, n_steps=20)
     assert per_step[5:].max() <= per_step[0]
 
 
@@ -276,6 +277,30 @@ def test_batch_matches_single_rows(method, mode):
         assert np.allclose(batch.sens.wrt_u[k], res.sens.wrt_u,
                            rtol=0, atol=1e-12)
     assert cb.as_dict() == cs.as_dict()
+
+
+@pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
+@pytest.mark.parametrize("settings", [NewtonSettings(), TIGHT],
+                         ids=["default", "tight"])
+def test_state_pass_independent_of_sensitivity_mode(method, settings):
+    # the finite-difference oracle reads DIRECT states in place of ITERATED
+    # ones: with the same iteration matrix both make the same Newton
+    # iterations and the same model evaluations, bit for bit
+    rng = np.random.default_rng(5)
+    nb = 7
+    x0s = X0 * (1.0 + 0.2 * rng.random((nb, 4)))
+    us = U0 + 40.0 * rng.standard_normal((nb, 2))
+    out = {}
+    for mode in (SensitivityMode.ITERATED, SensitivityMode.DIRECT):
+        counters = WorkCounters()
+        res = integrate_intervals_batch(QuadrupleTank(), make_tableau(method),
+                                        settings, mode, x0s, us, D0, 10.0, 6,
+                                        counters)
+        out[mode] = (res.trajectory, counters.newton_iterations,
+                     counters.f_evals)
+    it, di = out[SensitivityMode.ITERATED], out[SensitivityMode.DIRECT]
+    assert np.array_equal(it[0], di[0])
+    assert it[1:] == di[1:]
 
 
 class CountingTank(QuadrupleTank):

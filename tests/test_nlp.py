@@ -90,9 +90,10 @@ def test_simulated_vector_is_feasible():
     x = problem.x0
     for n in range(problem.Nc):
         w.U[n] = 300.0
+        mode = SensitivityMode.DIRECT
         x = integrate_interval(
-            problem.model, problem.tableau, strategy_of(SensitivityMode.NONE),
-            problem.newton, SensitivityMode.NONE, x, w.U[n], problem.d,
+            problem.model, problem.tableau, strategy_of(mode),
+            problem.newton, mode, x, w.U[n], problem.d,
             n * problem.Ts, (n + 1) * problem.Ts, problem.N,
             WorkCounters()).x_final
         w.X[n] = x

@@ -1,16 +1,19 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from test_nlp import dense_constraint_jacobian
 from test_qp import assemble
 
+from esdirkopt import sqp
 from esdirkopt.bench import RunConfig, make_problem, sqp_settings
 from esdirkopt.integrator import WorkCounters
 from esdirkopt.nlp import DecisionVector, evaluate
-from esdirkopt.qp import QpProblem, ShootingHessian, condense
-from esdirkopt.sqp import (SqpSettings, bfgs_update, kkt_violation,
-                           objective_hessian, solve_ocp)
+from esdirkopt.qp import QpProblem, ShootingHessian, condense, solve_qp
+from esdirkopt.sqp import (BFGS_DAMPING, BFGS_SKIP_NORM, HESSIAN_REG,
+                           HESSIAN_SEED_U, SqpSettings, bfgs_update,
+                           kkt_violation, objective_hessian, solve_ocp)
 
 
 def small_config(**kwargs):
@@ -24,16 +27,11 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SqpSettings(tol_kkt=0.0)
     with pytest.raises(ValueError):
-        SqpSettings(armijo_c1=0.5)
+        SqpSettings(tol_step=0.0)
+    # the line search starts at alpha = 1: a larger tol_step tries no step
     with pytest.raises(ValueError):
-        SqpSettings(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        SqpSettings(hessian_reg=0.0)
-    with pytest.raises(ValueError):
-        SqpSettings(hessian_reg=-1e-6)
-    with pytest.raises(ValueError):
-        SqpSettings(hessian_seed_u=-0.04)
-    SqpSettings(hessian_seed_u=0.0)
+        SqpSettings(tol_step=2.0)
+    SqpSettings(tol_step=1.0)
 
 
 def seed_hessian(Huu, Hx, Nc=1):
@@ -43,16 +41,17 @@ def seed_hessian(Huu, Hx, Nc=1):
                            Vp=np.zeros((nw, 0)), Vm=np.zeros((nw, 0)))
 
 
-def dense_bfgs_update(H, s, y, damping=0.2, skip_norm=1e-14):
+def dense_bfgs_update(H, s, y):
     """The damped BFGS update on a dense matrix, and which branch it took."""
-    if np.linalg.norm(s) < skip_norm or np.linalg.norm(y) < skip_norm:
+    if np.linalg.norm(s) < BFGS_SKIP_NORM \
+            or np.linalg.norm(y) < BFGS_SKIP_NORM:
         return H, "skipped"
     Hs = H @ s
     sHs = s @ Hs
     sy = s @ y
     kind = "plain"
-    if sy < damping * sHs:
-        theta = (1.0 - damping) * sHs / (sHs - sy)
+    if sy < BFGS_DAMPING * sHs:
+        theta = (1.0 - BFGS_DAMPING) * sHs / (sHs - sy)
         y = theta * y + (1.0 - theta) * Hs
         sy = s @ y
         kind = "damped"
@@ -117,8 +116,9 @@ def test_bfgs_damping_and_skip():
     y = -s                               # s'y < 0: undamped update would fail
     Hn = assemble(bfgs_update(H, s, y), 2)
     assert np.all(np.linalg.eigvalsh(Hn) > 0.0)
-    # curvature along s is damped toward (1 - damping) * s'Hs
-    assert s @ Hn @ s == pytest.approx(0.2 * (s @ (H @ s)), rel=1e-12)
+    # curvature along s is damped to BFGS_DAMPING * s'Hs
+    assert s @ Hn @ s == pytest.approx(BFGS_DAMPING * (s @ (H @ s)),
+                                       rel=1e-12)
     assert bfgs_update(H, np.zeros(2), y) is H
 
 
@@ -130,19 +130,20 @@ def test_bfgs_secant_equation_when_undamped():
     assert np.allclose(Hn @ s, y, rtol=0, atol=1e-12)
 
 
-def reference_objective_hessian(problem, reg, seed_u):
+def reference_objective_hessian(problem):
     """objective_hessian assembled one interval at a time, adding the
     blocks in the same order."""
     n_x, n_u, Nc = 4, 2, problem.Nc
     C = problem.model.output_matrix()
-    H = reg * np.eye(Nc * (n_x + n_u))
+    H = HESSIAN_REG * np.eye(Nc * (n_x + n_u))
     Hx = problem.Ts * C.T @ problem.Qz @ C
     qb = problem.qdu_bar
     for n in range(Nc):
         ox = n * (n_x + n_u) + n_u
         H[ox:ox + n_x, ox:ox + n_x] += Hx
         ou = n * (n_x + n_u)
-        H[ou:ou + n_u, ou:ou + n_u] += qb + seed_u * problem.Ts * np.eye(n_u)
+        H[ou:ou + n_u, ou:ou + n_u] += \
+            qb + HESSIAN_SEED_U * problem.Ts * np.eye(n_u)
         if n + 1 < Nc:
             ou2 = (n + 1) * (n_x + n_u)
             H[ou2:ou2 + n_u, ou2:ou2 + n_u] += qb
@@ -164,11 +165,7 @@ def test_objective_hessian_structure():
     # neighbouring input blocks carry the rate-penalty coupling
     ou, ou2 = 0, n_u + n_x
     assert np.allclose(H[ou:ou + n_u, ou2:ou2 + n_u], -qb, rtol=0, atol=0)
-    for reg, seed_u in ((1e-6, 0.04), (0.3, 1.7)):
-        assert np.array_equal(assemble(objective_hessian(problem, reg,
-                                                         seed_u), nw),
-                              reference_objective_hessian(problem, reg,
-                                                          seed_u))
+    assert np.array_equal(H, reference_objective_hessian(problem))
 
 
 def test_kkt_violation_components():
@@ -283,21 +280,24 @@ def test_counters_accumulate_across_evaluations():
     assert result.qp_iterations_total >= result.sqp_iterations
 
 
-@pytest.mark.parametrize("settings, init, iterations, reason", [
-    ({}, 300.0, 26, None),
-    ({"max_sqp_iter": 26}, 300.0, 26, None),
-    ({"max_sqp_iter": 2}, 300.0, 2, "IterationLimit"),
-    ({"max_sqp_iter": 0}, 300.0, 0, "IterationLimit"),
-    ({"max_qp_iter": 0}, 300.0, 1, "IterationLimit"),
-    ({"tol_step": 0.99, "armijo_c1": 0.49}, 300.0, 4,
+@pytest.mark.parametrize("settings, patches, init, iterations, reason", [
+    ({}, {}, 300.0, 26, None),
+    ({"max_sqp_iter": 26}, {}, 300.0, 26, None),
+    ({"max_sqp_iter": 2}, {}, 300.0, 2, "IterationLimit"),
+    ({"max_sqp_iter": 0}, {}, 300.0, 0, "IterationLimit"),
+    ({}, {"solve_qp": partial(solve_qp, max_iter=0)}, 300.0, 1,
+     "IterationLimit"),
+    ({"tol_step": 0.99}, {"ARMIJO_C1": 0.49}, 300.0, 4,
      "StepLengthBelowTolerance"),
-    ({"tol_step": 2.0}, 300.0, 1, "EvaluationFailure"),
-    ({}, -1e5, 0, "EvaluationFailure"),
+    ({}, {}, -1e5, 0, "EvaluationFailure"),
 ], ids=["converged", "converged-at-limit", "sqp-limit", "no-iterations",
-        "qp-limit", "short-step", "no-trial-step", "first-evaluation"])
-def test_solver_exits(settings, init, iterations, reason):
+        "qp-limit", "short-step", "first-evaluation"])
+def test_solver_exits(monkeypatch, settings, patches, init, iterations,
+                      reason):
     # convergence at the top of iteration k counts k iterations, a QP or
     # line-search failure in iteration k counts k + 1
+    for name, value in patches.items():
+        monkeypatch.setattr(sqp, name, value)
     config = small_config()
     result = solve_ocp(make_problem(config),
                        replace(sqp_settings(config), **settings),
