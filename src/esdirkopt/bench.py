@@ -11,7 +11,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from .tableau import METHODS as TABLEAU_METHODS, make_tableau
 METHODS = tuple(name.lower() for name in TABLEAU_METHODS)
 SENS_MODES = tuple(mode.value for mode in SensitivityMode)
 SWEEP_N = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
+#: the RunConfig fields that a sweep sets at each grid point
+SWEEP_FIELDS = ("method", "sens", "N")
+#: the RunConfig values that the low-tolerance experiment fixes
+LOW_TOL = {"Ts": 2.0, "N": 10, "tol_sqp": 1e-6, "tol_qp": 1e-10,
+           "abs": 1e-10, "rel": 1e-10}
 
 #: deterministic report column order
 COLUMNS = ("method", "sens", "N", "converged", "sqp_iters", "qp_iters",
@@ -86,7 +91,7 @@ class RunConfig:
         for name in ("N", "Nc", "max_sqp_iter"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{name}: must be an integer >= 1, "
+                raise ConfigError(f"{name}: expected integer >= 1, "
                                   f"got {value!r}")
         positive = ("Ts", "tol_sqp", "tol_qp", "tol_step", "abs", "rel",
                     "tau")
@@ -261,9 +266,8 @@ def _collect(rows, row_sink):
 
 def run_low_tol_experiment(base_config, jobs=1):
     """Short control interval, tight tolerances, all method/sens pairs."""
-    config = replace(base_config, Ts=2.0, N=10, tol_sqp=1e-6, tol_qp=1e-10,
-                     abs=1e-10, rel=1e-10)
-    return run_sweep(config, n_list=(10,), jobs=jobs)
+    return run_sweep(replace(base_config, **LOW_TOL), n_list=(LOW_TOL["N"],),
+                     jobs=jobs)
 
 
 def stats_to_csv(stats, include_walltime=True):
@@ -281,11 +285,24 @@ def stats_to_json(stats, include_walltime=True):
 
 
 def stats_from_json(text):
+    """RunStats rows of a JSON table; ValueError unless every field has
+    its column's type and names a known method and sensitivity mode."""
     rows = json.loads(text)
     if not isinstance(rows, list) \
             or not all(isinstance(r, dict) for r in rows):
         raise ValueError("expected a list of row objects")
-    return [RunStats(**{"wall_time": 0.0, **r}) for r in rows]
+    stats = [RunStats(**{"wall_time": 0.0, **r}) for r in rows]
+    for s in stats:
+        for f in fields(RunStats):
+            value = getattr(s, f.name)
+            # a float column also takes an integer; bool is no integer
+            if type(value) is not f.type \
+                    and not (f.type is float and type(value) is int):
+                raise ValueError(f"{f.name}: expected {f.type.__name__}, "
+                                 f"got {value!r}")
+        if s.method not in METHODS or s.sens not in SENS_MODES:
+            raise ValueError(f"unknown method/sens {s.method!r}/{s.sens!r}")
+    return stats
 
 
 def _write_file(path, content):
@@ -364,10 +381,6 @@ def config_from(values):
     for key, value in values.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown config field {key!r}")
-        default = getattr(cfg, key)
-        if isinstance(default, int) and not isinstance(default, bool) \
-                and not isinstance(value, int):
-            raise ConfigError(f"{key}: expected integer, got {value!r}")
         setattr(cfg, key, value)
     cfg.validate()
     return cfg

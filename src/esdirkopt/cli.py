@@ -2,7 +2,10 @@
 
 Subcommands: solve (one OCP), sweep (the full method/sens/N grid), lowtol
 (short control interval at tight tolerances), and report (re-emit a saved
-JSON stats table). Flags override values from an optional config file.
+JSON stats table). A run command takes a flag, or a key in an optional
+config file, only for the RunConfig fields it does not set itself
+(``FIXED``); flags override the file, and a config key for a field the
+command sets is a configuration error.
 Exit codes: 0 success (even with non-converged rows), 2 configuration
 error, 3 I/O error.
 """
@@ -10,10 +13,33 @@ error, 3 I/O error.
 import argparse
 import sys
 
-from .bench import (METHODS, SENS_MODES, SWEEP_N, config_from, emit_report,
-                    parse_config_file, run_low_tol_experiment, run_single,
-                    run_sweep, stats_from_json, stats_to_csv, stats_to_json)
+from .bench import (LOW_TOL, METHODS, SENS_MODES, SWEEP_FIELDS, config_from,
+                    emit_report, parse_config_file, run_low_tol_experiment,
+                    run_single, run_sweep, stats_from_json, stats_to_csv,
+                    stats_to_json)
 from .errors import ConfigError
+
+#: (flag, RunConfig field, argparse options, help) of every run flag
+RUN_FLAGS = (
+    ("--method", "method", {"choices": METHODS}, "integration method"),
+    ("--sens", "sens", {"choices": SENS_MODES},
+     "sensitivity computation mode"),
+    ("--steps", "N", {"type": int, "metavar": "N"},
+     "integration steps per control interval"),
+    ("--ts", "Ts", {"type": float}, "control interval [s]"),
+    ("--nc", "Nc", {"type": int}, "number of control intervals"),
+    ("--tol-sqp", "tol_sqp", {"type": float}, "SQP KKT tolerance"),
+    ("--tol-qp", "tol_qp", {"type": float}, "QP tolerance"),
+    ("--tol-step", "tol_step", {"type": float},
+     "line search step tolerance"),
+    ("--abs", "abs", {"type": float}, "Newton absolute tolerance"),
+    ("--rel", "rel", {"type": float}, "Newton relative tolerance"),
+    ("--tau", "tau", {"type": float}, "Newton accuracy factor"),
+)
+
+#: the RunConfig fields that each run command sets itself
+FIXED = {"solve": (), "sweep": SWEEP_FIELDS,
+         "lowtol": SWEEP_FIELDS + tuple(LOW_TOL)}
 
 
 def build_parser():
@@ -23,67 +49,44 @@ def build_parser():
                     "tank optimal control problem")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_run_flags=True):
-        if with_run_flags:
-            p.add_argument("--method", choices=METHODS,
-                           help="integration method")
-            p.add_argument("--sens", choices=SENS_MODES,
-                           help="sensitivity computation mode")
-            p.add_argument("--steps", type=int, metavar="N",
-                           help="integration steps per control interval")
-            p.add_argument("--ts", type=float, help="control interval [s]")
-            p.add_argument("--nc", type=int, help="number of control intervals")
-            p.add_argument("--tol-sqp", type=float, help="SQP KKT tolerance")
-            p.add_argument("--tol-qp", type=float, help="QP tolerance")
-            p.add_argument("--tol-step", type=float,
-                           help="line search step tolerance")
-            p.add_argument("--abs", type=float, help="Newton absolute tolerance")
-            p.add_argument("--rel", type=float, help="Newton relative tolerance")
-            p.add_argument("--tau", type=float, help="Newton accuracy factor")
-            p.add_argument("--config", metavar="FILE",
-                           help="key = value configuration file")
+    def add_output(p):
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
         p.add_argument("--no-walltime", action="store_true",
                        help="omit the wall_time column")
 
-    p_solve = sub.add_parser("solve", help="solve a single OCP")
-    add_common(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="run the full benchmark sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel worker processes (default 1)")
-
-    p_low = sub.add_parser("lowtol", help="run the low-tolerance experiment")
-    add_common(p_low)
-    p_low.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel worker processes (default 1)")
+    for command, text in (("solve", "solve a single OCP"),
+                          ("sweep", "run the full benchmark sweep"),
+                          ("lowtol", "run the low-tolerance experiment")):
+        p = sub.add_parser(command, help=text)
+        for flag, name, options, flag_help in RUN_FLAGS:
+            if name not in FIXED[command]:
+                p.add_argument(flag, dest=name, help=flag_help, **options)
+        p.add_argument("--config", metavar="FILE",
+                       help="key = value configuration file")
+        add_output(p)
+        if command != "solve":
+            p.add_argument("--jobs", type=int, default=1, metavar="N",
+                           help="parallel worker processes (default 1)")
 
     p_rep = sub.add_parser("report", help="re-emit a saved JSON stats table")
     p_rep.add_argument("stats_file", help="JSON stats table to read")
-    add_common(p_rep, with_run_flags=False)
+    add_output(p_rep)
     return parser
-
-
-#: CLI flag -> RunConfig field for the scalar overrides
-_OVERRIDES = (("method", "method"), ("sens", "sens"), ("steps", "N"),
-              ("ts", "Ts"), ("nc", "Nc"), ("tol_sqp", "tol_sqp"),
-              ("tol_qp", "tol_qp"), ("tol_step", "tol_step"),
-              ("abs", "abs"), ("rel", "rel"), ("tau", "tau"))
 
 
 def config_from_args(args):
     """RunConfig from the optional config file plus flag overrides."""
     values = parse_config_file(args.config) if args.config else {}
-    config = config_from(values)
-    for flag, field in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, field, value)
-    config.validate()
-    return config
+    fixed = sorted(set(values) & set(FIXED[args.command]))
+    if fixed:
+        raise ConfigError(f"{args.config}: {', '.join(fixed)}: set by the "
+                          f"{args.command} command")
+    for _, name, _, _ in RUN_FLAGS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return config_from(values)
 
 
 def _emit(stats, args):
@@ -103,7 +106,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     config = config_from_args(args)
-    stats = run_sweep(config, n_list=SWEEP_N, jobs=args.jobs)
+    stats = run_sweep(config, jobs=args.jobs)
     _emit(stats, args)
     return 0
 

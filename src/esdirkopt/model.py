@@ -1,8 +1,5 @@
 """ODE models: the quadruple tank system and analytic linear test models."""
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from .errors import DomainError
@@ -37,28 +34,18 @@ class OdeModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class QtsParameters:
-    """Quadruple tank parameters (cgs units)."""
-    a: np.ndarray = field(default_factory=lambda: np.full(4, 1.2272))
-    A: np.ndarray = field(default_factory=lambda: np.full(4, 380.1327))
-    gamma_valves: np.ndarray = field(default_factory=lambda: np.array([0.6, 0.7]))
-    rho: float = 1.0
-    g: float = 981.0
+#: the paper's quadruple tank (cgs units): outlet areas a_i [cm^2], tank
+#: cross sections A_i [cm^2], valve splits gamma_1, gamma_2, density rho
+#: [g/cm^3] and gravity g [cm/s^2]
+OUTLET_AREA = np.full(4, 1.2272)
+TANK_AREA = np.full(4, 380.1327)
+VALVE_SPLIT = np.array([0.6, 0.7])
+RHO = 1.0
+G = 981.0
 
-    def __post_init__(self):
-        if np.any(self.a <= 0) or np.any(self.A <= 0) or self.rho <= 0 or self.g <= 0:
-            raise ValueError("tank parameters must be positive")
-        if np.any(self.gamma_valves <= 0) or np.any(self.gamma_valves >= 1):
-            raise ValueError("valve splits must lie strictly in (0, 1)")
-
-    @cached_property
-    def pump_split(self):
-        """(2, 4) matrix G: pump j feeds tank i at the rate G[j, i]*u_j."""
-        gv = self.gamma_valves
-        return np.array([[gv[0], 0.0, 0.0, 1.0 - gv[0]],
-                         [0.0, gv[1], 1.0 - gv[1], 0.0]])
-
+#: (2, 4) matrix: pump j feeds tank i at the rate PUMP_SPLIT[j, i]*u_j
+PUMP_SPLIT = np.array([[VALVE_SPLIT[0], 0.0, 0.0, 1.0 - VALVE_SPLIT[0]],
+                       [0.0, VALVE_SPLIT[1], 1.0 - VALVE_SPLIT[1], 0.0]])
 
 #: (df_i/dq_j) / rho: every tank loses its own outflow q_i, and tanks 3 and 4
 #: drain into tanks 1 and 2
@@ -77,39 +64,6 @@ def _check_domain(x):
         raise exc
 
 
-def qts_f_batch(x, u, d, p):
-    """Mass balances of the four tanks [g/s] over a (B, 4) stack of states
-    and a (B, 2) stack of inputs.
-
-    Tank outflows are q_i = a_i*sqrt(2*g*x_i/(rho*A_i)), zero for tanks
-    below MASS_CLAMP (empty).
-    """
-    _check_domain(x)
-    xc = np.where(x < MASS_CLAMP, 0.0, x)
-    q = p.a * np.sqrt(2.0 * p.g * xc / (p.rho * p.A))
-    f = u @ p.pump_split
-    f[:, :2] += q[:, 2:]             # tanks 3 and 4 drain into 1 and 2
-    f += d
-    f -= q
-    f *= p.rho
-    return f
-
-
-def qts_jacobians_batch(x, p):
-    """Analytic (df/dx, df/du) for a (B, 4) stack of states.
-
-    df/du does not depend on the state, so a single (4, 2) matrix is
-    returned for the whole batch.
-    """
-    _check_domain(x)
-    live = x >= MASS_CLAMP
-    # dq_i/dx_i; zero for clamped (empty) tanks
-    dq = np.where(live, p.a * p.g / (p.rho * p.A) / np.sqrt(
-        2.0 * p.g * np.where(live, x, 1.0) / (p.rho * p.A)), 0.0)
-    jx = dq[:, None, :] * (p.rho * DF_DQ)
-    return jx, p.rho * p.pump_split.T
-
-
 class QuadrupleTank(OdeModel):
     """Four interconnected tanks, two pump inputs, two level outputs."""
 
@@ -118,23 +72,42 @@ class QuadrupleTank(OdeModel):
     n_d = 4
     n_z = 2
 
-    def __init__(self, params=None):
-        self.params = params if params is not None else QtsParameters()
-
     def f_batch(self, x, u, d):
-        """f over a (B, 4) stack of states with per-row inputs (B, 2)."""
-        return qts_f_batch(x, u, d, self.params)
+        """Mass balances of the four tanks [g/s] over a (B, 4) stack of
+        states and a (B, 2) stack of inputs.
+
+        Tank outflows are q_i = a_i*sqrt(2*g*x_i/(rho*A_i)), zero for tanks
+        below MASS_CLAMP (empty).
+        """
+        _check_domain(x)
+        xc = np.where(x < MASS_CLAMP, 0.0, x)
+        q = OUTLET_AREA * np.sqrt(2.0 * G * xc / (RHO * TANK_AREA))
+        f = u @ PUMP_SPLIT
+        f[:, :2] += q[:, 2:]             # tanks 3 and 4 drain into 1 and 2
+        f += d
+        f -= q
+        f *= RHO
+        return f
 
     def jacobians_batch(self, x):
-        """(df/dx, df/du) over a (B, 4) stack; df/du is state independent."""
-        return qts_jacobians_batch(x, self.params)
+        """Analytic (df/dx, df/du) for a (B, 4) stack of states.
+
+        df/du does not depend on the state, so a single (4, 2) matrix is
+        returned for the whole batch.
+        """
+        _check_domain(x)
+        live = x >= MASS_CLAMP
+        # dq_i/dx_i; zero for clamped (empty) tanks
+        dq = np.where(live, OUTLET_AREA * G / (RHO * TANK_AREA) / np.sqrt(
+            2.0 * G * np.where(live, x, 1.0) / (RHO * TANK_AREA)), 0.0)
+        jx = dq[:, None, :] * (RHO * DF_DQ)
+        return jx, RHO * PUMP_SPLIT.T
 
     def output_matrix(self):
         """The constant matrix C with z = C x."""
-        p = self.params
         c = np.zeros((2, 4))
-        c[0, 0] = 1.0 / (p.rho * p.A[0])
-        c[1, 1] = 1.0 / (p.rho * p.A[1])
+        c[0, 0] = 1.0 / (RHO * TANK_AREA[0])
+        c[1, 1] = 1.0 / (RHO * TANK_AREA[1])
         return c
 
 

@@ -87,8 +87,6 @@ class DecisionVector:
 class Evaluation:
     """One full NLP evaluation at a decision vector."""
     phi: float
-    phi_z: float
-    phi_du: float
     grad: np.ndarray
     c: np.ndarray                  # continuity residuals, (Nc, n_x)
     A: np.ndarray                  # dF_n/dx_n, (Nc, n_x, n_x)
@@ -142,9 +140,8 @@ def evaluate(problem, w, counters):
     grad.U += du @ qdu_bar.T
     grad.U[:-1] -= du[1:] @ qdu_bar.T
     # contiguous blocks: products with strided views differ in the last bits
-    return Evaluation(phi=phi_z + phi_du, phi_z=phi_z, phi_du=phi_du,
-                      grad=grad.w, c=c, A=res.sens.wrt_x0.copy(),
-                      B=res.sens.wrt_u.copy())
+    return Evaluation(phi=phi_z + phi_du, grad=grad.w, c=c,
+                      A=res.sens.wrt_x0.copy(), B=res.sens.wrt_u.copy())
 
 
 def constraint_jacobian_transpose_times(ev, w, lam):

@@ -229,12 +229,58 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]\n")
     assert main(["report", str(empty)]) == 2
-    # a table is a list of row objects
-    for k, text in enumerate(("[1, 2]", '["x"]', '{"a": 1}')):
+    # a table is a list of row objects whose fields have their column types
+    row = {"method": "esdirk12", "sens": "iterated", "N": 5,
+           "converged": True, "sqp_iters": 1, "qp_iters": 1, "kkt": 0.5,
+           "f_evals": 1, "jac_x_evals": 1, "jac_u_evals": 1,
+           "lu_factorizations": 1}
+    rows = [{**row, "N": "x", "converged": 1, "kkt": "a"},
+            {**row, "N": "x"}, {**row, "N": 5.0}, {**row, "kkt": "a"},
+            {**row, "converged": 1}, {**row, "sqp_iters": True},
+            {**row, "method": "rk4"}, {**row, "sens": "adjoint"}]
+    texts = ["[1, 2]", '["x"]', '{"a": 1}'] + [json.dumps([r]) for r in rows]
+    for k, text in enumerate(texts):
         table = tmp_path / f"table{k}.json"
         table.write_text(text + "\n")
-        assert main(["report", str(table)]) == 2
+        assert main(["report", str(table)]) == 2, text
+    table.write_text(json.dumps([{**row, "kkt": 0}]) + "\n")
+    assert main(["report", str(table)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--method", "esdirk12"], ["sweep", "--sens", "direct"],
+    ["sweep", "--steps", "3"], ["lowtol", "--steps", "3"],
+    ["lowtol", "--ts", "1"], ["lowtol", "--tol-sqp", "1e-3"],
+    ["lowtol", "--tol-qp", "1e-3"], ["lowtol", "--abs", "1e-3"],
+    ["lowtol", "--rel", "1e-3"], ["report", "x.json", "--nc", "2"]])
+def test_cli_rejects_flags_the_command_sets(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("sweep", "N = 5"), ("sweep", "method = esdirk12"),
+    ("sweep", "sens = direct"), ("lowtol", "Ts = 1.0"),
+    ("lowtol", "rel = 1e-6")])
+def test_cli_rejects_config_keys_the_command_sets(tmp_path, capsys, command,
+                                                  line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"Nc = 1\n{line}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{line.split()[0]}: set by the {command} command" in err
+
+
+def test_cli_lowtol_jobs_give_the_same_rows(capsys):
+    argv = ["lowtol", "--nc", "1", "--no-walltime"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(serial.strip().split("\n")) == 1 + 9
 
 
 @pytest.mark.parametrize("line", [

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from esdirkopt.errors import DomainError
-from esdirkopt.model import (MASS_CLAMP, LinearTestModel, QtsParameters,
-                             QuadrupleTank, qts_f_batch, qts_jacobians_batch)
+from esdirkopt.model import (G, MASS_CLAMP, OUTLET_AREA, RHO, TANK_AREA,
+                             VALVE_SPLIT, LinearTestModel, QuadrupleTank)
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
 D0 = np.array([0.0, 0.0, 100.0, 100.0])
+TANK = QuadrupleTank()
 
 
-def mass_balances(x, u, d, p):
+def mass_balances(x, u, d):
     """The four tank mass balances written out, one state at a time."""
-    q = p.a * np.sqrt(2.0 * p.g * np.where(x < MASS_CLAMP, 0.0, x)
-                      / (p.rho * p.A))
-    gv = p.gamma_valves
-    return p.rho * np.array([
+    q = OUTLET_AREA * np.sqrt(2.0 * G * np.where(x < MASS_CLAMP, 0.0, x)
+                              / (RHO * TANK_AREA))
+    gv = VALVE_SPLIT
+    return RHO * np.array([
         gv[0] * u[0] + q[2] + d[0] - q[0],
         gv[1] * u[1] + q[3] + d[1] - q[1],
         (1.0 - gv[1]) * u[1] + d[2] - q[2],
@@ -24,19 +25,17 @@ def mass_balances(x, u, d, p):
 
 
 def test_mass_balance_values():
-    f = qts_f_batch(X0[None], U0[None], D0, QtsParameters())[0]
+    f = TANK.f_batch(X0[None], U0[None], D0)[0]
     expected = np.array([25.067333824732316, 0.4329862085390346,
                          101.83479270786412, 131.83479270786412])
     assert np.allclose(f, expected, rtol=1e-14, atol=0)
 
 
 def test_jacobians_match_finite_differences():
-    p = QtsParameters()
-
     def f(x, u):
-        return qts_f_batch(x[None], u[None], D0, p)[0]
+        return TANK.f_batch(x[None], u[None], D0)[0]
 
-    jx, ju = qts_jacobians_batch(X0[None], p)
+    jx, ju = TANK.jacobians_batch(X0[None])
     eps = 1e-6
     for j in range(4):
         dx = np.zeros(4)
@@ -51,7 +50,7 @@ def test_jacobians_match_finite_differences():
 
 
 def test_jacobian_sparsity():
-    jx, ju = qts_jacobians_batch(X0[None], QtsParameters())
+    jx, ju = TANK.jacobians_batch(X0[None])
     jx = jx[0]
     zero = np.array([[0, 1, 0, 1], [1, 0, 1, 0],
                      [1, 1, 0, 1], [1, 1, 1, 0]], dtype=bool)
@@ -61,52 +60,40 @@ def test_jacobian_sparsity():
 
 
 def test_empty_tank_clamped():
-    p = QtsParameters()
     x = np.array([[0.0, MASS_CLAMP / 2.0, 1000.0, 1000.0]])
-    f = qts_f_batch(x, U0[None], D0, p)
+    f = TANK.f_batch(x, U0[None], D0)
     assert np.all(np.isfinite(f))
-    jx, _ = qts_jacobians_batch(x, p)
+    jx, _ = TANK.jacobians_batch(x)
     assert jx[0, 0, 0] == 0.0
     assert jx[0, 1, 1] == 0.0
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda xs, p: qts_f_batch(xs, np.tile(U0, (len(xs), 1)), D0, p),
-    lambda xs, p: qts_jacobians_batch(xs, p)])
+    lambda xs: TANK.f_batch(xs, np.tile(U0, (len(xs), 1)), D0),
+    lambda xs: TANK.jacobians_batch(xs)])
 def test_negative_mass_names_row(evaluate):
-    p = QtsParameters()
     xs = np.tile(X0, (3, 1))
     xs[2, 1] = -5.0
     with pytest.raises(DomainError) as err:
-        evaluate(xs, p)
+        evaluate(xs)
     assert err.value.batch_row == 2
 
 
 def test_output_levels():
-    m = QuadrupleTank()
-    p = m.params
-    assert np.allclose(m.output_matrix() @ X0, X0[:2] / (p.rho * p.A[:2]),
-                       rtol=0, atol=0)
-
-
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        QtsParameters(gamma_valves=np.array([0.6, 1.0]))
-    with pytest.raises(ValueError):
-        QtsParameters(rho=0.0)
+    assert np.allclose(TANK.output_matrix() @ X0,
+                       X0[:2] / (RHO * TANK_AREA[:2]), rtol=0, atol=0)
 
 
 def test_batch_rows_match_mass_balances():
-    p = QtsParameters()
     rng = np.random.default_rng(5)
     xs = X0 * (1.0 + 0.3 * rng.random((7, 4)))
     xs[3, 2] = MASS_CLAMP / 2.0            # one empty tank
     us = U0 + 50.0 * rng.standard_normal((7, 2))
-    fb = qts_f_batch(xs, us, D0, p)
-    jxb, jub = qts_jacobians_batch(xs, p)
+    fb = TANK.f_batch(xs, us, D0)
+    jxb, jub = TANK.jacobians_batch(xs)
     for k in range(7):
-        assert np.array_equal(fb[k], mass_balances(xs[k], us[k], D0, p))
-        jx, _ = qts_jacobians_batch(xs[k:k + 1], p)
+        assert np.array_equal(fb[k], mass_balances(xs[k], us[k], D0))
+        jx, _ = TANK.jacobians_batch(xs[k:k + 1])
         assert np.array_equal(jxb[k], jx[0])
     assert jub.shape == (4, 2)
 
