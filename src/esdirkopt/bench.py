@@ -11,7 +11,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,22 +32,19 @@ SWEEP_FIELDS = ("method", "sens", "N")
 LOW_TOL = {"Ts": 2.0, "N": 10, "tol_sqp": 1e-6, "tol_qp": 1e-10,
            "abs": 1e-10, "rel": 1e-10}
 
-#: deterministic report column order
-COLUMNS = ("method", "sens", "N", "converged", "sqp_iters", "qp_iters",
-           "kkt", "f_evals", "jac_x_evals", "jac_u_evals",
-           "lu_factorizations", "wall_time")
-
 
 @dataclass
 class SetpointSwitch:
-    """Piecewise-constant setpoints switching at half the horizon."""
+    """Piecewise-constant setpoints switching from first to second at
+    t_switch."""
     first: np.ndarray
     second: np.ndarray
+    t_switch: float
 
-    def __call__(self, t, horizon):
+    def __call__(self, t):
         """The (n_z,) setpoint at a time t, or one row per time for an
         array of times."""
-        return np.where(np.asarray(t)[..., None] < horizon / 2.0,
+        return np.where(np.asarray(t)[..., None] < self.t_switch,
                         self.first, self.second)
 
 
@@ -154,10 +151,14 @@ class RunStats:
     wall_time: float
 
     def as_dict(self, include_walltime=True):
-        out = {k: getattr(self, k) for k in COLUMNS}
+        out = asdict(self)
         if not include_walltime:
             del out["wall_time"]
         return out
+
+
+#: deterministic report column order
+COLUMNS = tuple(f.name for f in fields(RunStats))
 
 
 def _fmt(value):
@@ -179,8 +180,10 @@ def make_problem(config):
         Qdu=np.diag(np.asarray(config.qdu, float)),
         u_min=np.asarray(config.u_min, float),
         u_max=np.asarray(config.u_max, float),
+        # switch at half the horizon
         setpoint=SetpointSwitch(np.asarray(config.setpoint_first, float),
-                                np.asarray(config.setpoint_second, float)),
+                                np.asarray(config.setpoint_second, float),
+                                config.Ts * config.Nc / 2.0),
         u_prev=np.asarray(config.u_prev, float),
         d=np.asarray(config.d, float),
         tableau=make_tableau(config.method),
@@ -226,8 +229,7 @@ def _write_trajectory(config, problem, w, out_dir):
     name = f"trajectory_{config.method}_{config.sens}_N{config.N}.csv"
     path = os.path.join(out_dir, name)
     t = problem.Ts * np.arange(1, config.Nc + 1)
-    rows = np.column_stack([t, w.X @ C.T, problem.setpoint(t, problem.horizon),
-                            w.U])
+    rows = np.column_stack([t, w.X @ C.T, problem.setpoint(t), w.U])
     lines = ["t,z1,z2,zbar1,zbar2,u1,u2"]
     lines += [",".join(_fmt(float(v)) for v in row) for row in rows]
     _write_file(path, "\n".join(lines) + "\n")
@@ -243,6 +245,8 @@ def run_sweep(base_config, n_list=SWEEP_N, jobs=1, row_sink=None):
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ConfigError(f"jobs: expected integer >= 1, got {jobs!r}")
     points = [replace(base_config, method=m, sens=s, N=int(n))
               for m in METHODS for s in SENS_MODES for n in n_list]
     for p in points:

@@ -97,24 +97,17 @@ def _emit(stats, args):
         emit_report(stats, args.out, args.format, include_walltime)
 
 
-def cmd_solve(args):
-    config = config_from_args(args)
-    stats = run_single(config, out_dir=args.out)
-    _emit([stats], args)
-    return 0
+#: the rows each run command produces from its RunConfig
+RUNNERS = {
+    "solve": lambda config, args: [run_single(config, out_dir=args.out)],
+    "sweep": lambda config, args: run_sweep(config, jobs=args.jobs),
+    "lowtol": lambda config, args: run_low_tol_experiment(config,
+                                                          jobs=args.jobs),
+}
 
 
-def cmd_sweep(args):
-    config = config_from_args(args)
-    stats = run_sweep(config, jobs=args.jobs)
-    _emit(stats, args)
-    return 0
-
-
-def cmd_lowtol(args):
-    config = config_from_args(args)
-    stats = run_low_tol_experiment(config, jobs=args.jobs)
-    _emit(stats, args)
+def cmd_run(args):
+    _emit(RUNNERS[args.command](config_from_args(args), args), args)
     return 0
 
 
@@ -135,8 +128,7 @@ def cmd_report(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {"solve": cmd_solve, "sweep": cmd_sweep,
-               "lowtol": cmd_lowtol, "report": cmd_report}[args.command]
+    handler = cmd_report if args.command == "report" else cmd_run
     try:
         return handler(args)
     except ConfigError as exc:

@@ -37,7 +37,7 @@ class OcpProblem:
     Qdu: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    setpoint: callable     # (t, horizon) -> z rows, one per time in t
+    setpoint: callable     # t -> z rows, one per time in t
     u_prev: np.ndarray
     d: np.ndarray
     tableau: object
@@ -49,10 +49,6 @@ class OcpProblem:
             raise ValueError("Ts, Nc, N must be positive")
         if np.any(self.u_min > self.u_max):
             raise ValueError("u_min must not exceed u_max")
-
-    @property
-    def horizon(self):
-        return self.Ts * self.Nc
 
     @property
     def qdu_bar(self):
@@ -125,7 +121,7 @@ def evaluate(problem, w, counters):
     n_idx = np.arange(Nc)
     phi_z = 0.0
     for k in range(1, N + 1):
-        zbar = problem.setpoint(n_idx * Ts + k * h, problem.horizon)
+        zbar = problem.setpoint(n_idx * Ts + k * h)
         err = res.trajectory[:, k] @ C.T - zbar
         phi_z += 0.5 * h * float(np.einsum("bi,ij,bj->", err, Qz, err))
         gz = h * (err @ Qz.T) @ C

@@ -7,7 +7,8 @@ The shooting structure lets the state components be eliminated exactly
 primal active-set method solves with warm starts. Its working set is one
 signed integer vector with an entry per input step (-1 on the lower
 bound, +1 on the upper, 0 free), so each iteration is array operations
-on it.
+on it. The same vector is the warm start of the next solve, and the bound
+multipliers come back as one signed vector with the same convention.
 
 H is a `ShootingHessian`: a seed without input-state coupling plus a
 low-rank quasi-Newton correction. It is applied to vectors and condensed
@@ -65,13 +66,21 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """Step, multipliers and exit working set of one shooting QP. mu is
+    the upper minus the lower bound multiplier: <= 0 on a lower bound,
+    >= 0 on an upper one (to within the QP tolerance), 0 where side is 0."""
     p: np.ndarray
     lambda_eq: np.ndarray      # (Nc, n_x)
-    mu_lower: np.ndarray       # (Nc*n_u,) nonnegative at optimum
-    mu_upper: np.ndarray
+    mu: np.ndarray             # (Nc*n_u,)
+    side: np.ndarray           # (Nc*n_u,) exit working set, -1/0/+1
     iterations: int
     status: str                # "Optimal" | "IterationLimit"
-    active_set: tuple          # working set at exit, for warm starts
+
+    @property
+    def active_set(self):
+        # the indices held on a bound; the benchmark's tracer reads its
+        # length, which is why this property exists
+        return np.flatnonzero(self.side)
 
 
 def condense(q):
@@ -164,19 +173,18 @@ def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, side):
     return q, H @ q + g, side, iters, "IterationLimit"
 
 
-def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_active=None):
+def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_side=None):
     """Solve the shooting QP by condensing plus a primal active set.
 
     Returns the full-space step, the continuity multipliers from a backward
-    recursion, and the bound multipliers read off the reduced gradient.
-    warm_active and the returned active_set are (index, 'lb' | 'ub') pairs.
+    recursion, the signed bound multipliers read off the reduced gradient
+    and the exit working set. warm_side, a working set such as the side of
+    an earlier solution, is copied and starts the active-set method.
     """
     Z, y0, H_red, g_red = condense(q)
     Nc, n_x, n_u = q.B.shape
-    side = np.zeros(Nc * n_u, dtype=int)
-    if warm_active:
-        index, bound = zip(*warm_active)
-        side[list(index)] = np.where(np.array(bound) == "lb", -1, 1)
+    side = (np.zeros(Nc * n_u, dtype=int) if warm_side is None
+            else np.array(warm_side, dtype=int))
     qu, rgrad, side, iters, status = _solve_bound_qp(
         H_red, g_red, q.lb.ravel(), q.ub.ravel(), qp_tol, max_iter, side)
     p = Z @ qu + y0
@@ -184,10 +192,6 @@ def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_active=None):
     lam = -gfull[:, n_u:]
     for n in range(Nc - 2, -1, -1):
         lam[n] += q.A[n + 1].T @ lam[n + 1]
-    active = np.flatnonzero(side)
-    bound = np.where(side[active] < 0, "lb", "ub")
     return QpSolution(p=p, lambda_eq=lam,
-                      mu_lower=np.where(side < 0, rgrad, 0.0),
-                      mu_upper=np.where(side > 0, -rgrad, 0.0),
-                      iterations=max(iters, 1), status=status,
-                      active_set=tuple(zip(active.tolist(), bound.tolist())))
+                      mu=np.where(side != 0, -rgrad, 0.0), side=side,
+                      iterations=max(iters, 1), status=status)

@@ -70,27 +70,27 @@ def bfgs_update(H, s, y):
                    Vm=np.column_stack([H.Vm, Hs / np.sqrt(sHs)]))
 
 
-def kkt_violation(ev, w, problem, lam, mu_lower, mu_upper):
+def kkt_violation(grad_l, ev, w, problem, mu):
     """Composite optimality residual in the infinity norm.
 
+    grad_l is the Lagrangian gradient grad phi + J_c' lam at w, which the
+    caller has already formed, and mu the signed bound multipliers of
+    `QpSolution` (negative on a lower bound, positive on an upper one).
     Maximum of Lagrangian stationarity, continuity violation, bound
     violation, and complementarity of the bound multipliers.
     """
-    grad_l = DecisionVector(
-        ev.grad + constraint_jacobian_transpose_times(ev, w, lam),
-        w.n_x, w.n_u, w.Nc)
-    mu_lower = mu_lower.reshape(w.U.shape)
-    mu_upper = mu_upper.reshape(w.U.shape)
-    grad_l.U += -mu_lower + mu_upper
+    mu = mu.reshape(w.U.shape)
+    grad_l = DecisionVector(grad_l.copy(), w.n_x, w.n_u, w.Nc)
+    grad_l.U += mu
     u, lb, ub = w.U, problem.u_min, problem.u_max
     stationarity = np.abs(grad_l.w).max()
     feasibility = np.abs(ev.c).max()
     bound_viol = max(np.maximum(lb - u, 0.0).max(),
                      np.maximum(u - ub, 0.0).max())
     # only where a multiplier is nonzero: 0 * inf at an infinite bound
-    lo, hi = mu_lower != 0, mu_upper != 0
-    comp = max(np.abs(mu_lower[lo] * (u - lb)[lo]).max(initial=0.0),
-               np.abs(mu_upper[hi] * (ub - u)[hi]).max(initial=0.0))
+    lo, hi = mu < 0, mu > 0
+    comp = max(np.abs(mu[lo] * (u - lb)[lo]).max(initial=0.0),
+               np.abs(mu[hi] * (ub - u)[hi]).max(initial=0.0))
     return max(stationarity, feasibility, bound_viol, comp)
 
 
@@ -176,13 +176,11 @@ def solve_ocp(problem, settings, w0, counters=None):
                          counters=counters, failure_reason="EvaluationFailure")
 
     H = objective_hessian(problem)
-    lam = np.zeros(w.X.shape)
-    mu_lower = np.zeros(w.U.size)
-    mu_upper = np.zeros(w.U.size)
+    side = None                    # the QP working set, for warm starts
     mu_merit = 0.0
     qp_total = 0
-    warm_active = None
-    kkt = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
+    # with all multipliers 0 the Lagrangian gradient is the gradient
+    kkt = kkt_violation(ev.grad, ev, w, problem, np.zeros(w.U.size))
     it, reason = 0, None
     while not kkt <= settings.tol_kkt:        # a NaN residual is not converged
         if it == settings.max_sqp_iter:
@@ -191,14 +189,13 @@ def solve_ocp(problem, settings, w0, counters=None):
         it += 1
         qp = QpProblem(H=H, g=ev.grad, A=ev.A, B=ev.B, e=-ev.c,
                        lb=problem.u_min - w.U, ub=problem.u_max - w.U)
-        sol = solve_qp(qp, settings.tol_qp, warm_active=warm_active)
+        sol = solve_qp(qp, settings.tol_qp, warm_side=side)
         qp_total += sol.iterations
         if sol.status != "Optimal":
             reason = "IterationLimit"
             break
         mult_norm = max(np.abs(sol.lambda_eq).max(initial=0.0),
-                        np.abs(sol.mu_lower).max(initial=0.0),
-                        np.abs(sol.mu_upper).max(initial=0.0))
+                        np.abs(sol.mu).max(initial=0.0))
         mu_merit = max(mu_merit, 1.1 * mult_norm + 1e-3)
         alpha, w_new, ev_new, all_failed = line_search(
             problem, w, ev, sol.p, mu_merit, settings, counters)
@@ -213,10 +210,8 @@ def solve_ocp(problem, settings, w0, counters=None):
             ev_new, w_new, sol.lambda_eq))
         H = bfgs_update(H, w_new.w - w.w, grad_l_new - grad_l_old)
         w, ev = w_new, ev_new
-        lam = sol.lambda_eq
-        mu_lower, mu_upper = sol.mu_lower, sol.mu_upper
-        warm_active = sol.active_set
-        kkt = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
+        side = sol.side
+        kkt = kkt_violation(grad_l_new, ev, w, problem, sol.mu)
     return SqpResult(w_star=w, converged=reason is None, kkt=kkt,
                      sqp_iterations=it, qp_iterations_total=qp_total,
                      counters=counters, failure_reason=reason,

@@ -283,6 +283,21 @@ def test_cli_lowtol_jobs_give_the_same_rows(capsys):
     assert len(serial.strip().split("\n")) == 1 + 9
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sweep", "lowtol"])
+def test_cli_rejects_worker_counts_below_one(capsys, command, jobs):
+    assert main([command, "--nc", "1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""                  # no row was solved
+    assert f"jobs: expected integer >= 1, got {jobs}" in captured.err
+
+
+def test_run_sweep_rejects_worker_counts_below_one():
+    for jobs in (0, -3, 1.5, "2"):
+        with pytest.raises(ConfigError):
+            run_sweep(quick_config(), jobs=jobs)
+
+
 @pytest.mark.parametrize("line", [
     "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "tol_step = 2.0",
     "max_sqp_iter = 0",

@@ -14,7 +14,9 @@ from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
 
 
-SETPOINTS = SetpointSwitch(np.array([20.0, 30.0]), np.array([30.0, 20.0]))
+# switching at half of a 400 s horizon
+SETPOINTS = SetpointSwitch(np.array([20.0, 30.0]), np.array([30.0, 20.0]),
+                           200.0)
 
 
 def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None,
@@ -26,7 +28,7 @@ def small_problem(mode=SensitivityMode.ITERATED, Nc=4, N=3, newton=None,
         Qz=np.diag([10.0, 10.0]),
         Qdu=np.diag([0.1, 0.1]),
         u_min=np.zeros(2), u_max=np.full(2, 500.0),
-        setpoint=SETPOINTS,
+        setpoint=replace(SETPOINTS, t_switch=10.0 * Nc / 2.0),
         u_prev=np.full(2, 300.0),
         d=np.array([0.0, 0.0, 100.0, 100.0]),
         tableau=make_tableau("ESDIRK23"),
@@ -75,12 +77,12 @@ def test_decision_vector_layout():
 
 
 def test_setpoint_switch():
-    assert np.array_equal(SETPOINTS(0.0, 400.0), [20.0, 30.0])
-    assert np.array_equal(SETPOINTS(199.9, 400.0), [20.0, 30.0])
-    assert np.array_equal(SETPOINTS(200.0, 400.0), [30.0, 20.0])
-    assert np.array_equal(SETPOINTS(400.0, 400.0), [30.0, 20.0])
-    # an array of times gives one row per time, switching at horizon/2
-    rows = SETPOINTS(np.array([0.0, 199.9, 200.0, 400.0]), 400.0)
+    assert np.array_equal(SETPOINTS(0.0), [20.0, 30.0])
+    assert np.array_equal(SETPOINTS(199.9), [20.0, 30.0])
+    assert np.array_equal(SETPOINTS(200.0), [30.0, 20.0])
+    assert np.array_equal(SETPOINTS(400.0), [30.0, 20.0])
+    # an array of times gives one row per time, switching at t_switch
+    rows = SETPOINTS(np.array([0.0, 199.9, 200.0, 400.0]))
     assert np.array_equal(rows, [[20.0, 30.0], [20.0, 30.0],
                                  [30.0, 20.0], [30.0, 20.0]])
 

@@ -100,13 +100,16 @@ def test_active_bounds_and_multipliers():
     assert np.all(u_steps >= q.lb.ravel() - 1e-10)
     assert np.all(u_steps <= q.ub.ravel() + 1e-10)
     assert np.any(np.isclose(np.abs(u_steps), 0.05, atol=1e-10))
-    assert np.all(sol.mu_lower >= -1e-8)
-    assert np.all(sol.mu_upper >= -1e-8)
+    # signed multipliers: nonpositive on a lower bound, nonnegative on an
+    # upper one, zero off the working set
+    assert np.all(sol.mu[sol.side < 0] <= 1e-8)
+    assert np.all(sol.mu[sol.side > 0] >= -1e-8)
+    assert np.all(sol.mu[sol.side == 0] == 0.0)
+    assert np.array_equal(sol.active_set, np.flatnonzero(sol.side))
     # complementarity: multipliers only on active bounds
     inactive = (u_steps > q.lb.ravel() + 1e-8) \
         & (u_steps < q.ub.ravel() - 1e-8)
-    assert np.all(sol.mu_lower[inactive] == 0.0)
-    assert np.all(sol.mu_upper[inactive] == 0.0)
+    assert np.all(sol.mu[inactive] == 0.0)
 
 
 def test_bounded_solution_optimal_over_feasible_samples():
@@ -130,7 +133,9 @@ def test_warm_start_and_iteration_floor():
     rng = np.random.default_rng(4)
     q = random_problem(rng, bound_scale=0.05)
     cold = solve_qp(q)
-    warm = solve_qp(q, warm_active=cold.active_set)
+    cold_side = cold.side.copy()
+    warm = solve_qp(q, warm_side=cold.side)
+    assert np.array_equal(cold.side, cold_side)      # copied, not updated
     assert warm.status == "Optimal"
     assert np.allclose(warm.p, cold.p, rtol=0, atol=1e-9)
     assert warm.iterations <= cold.iterations
@@ -146,18 +151,18 @@ def test_iteration_limit_status():
     assert sol2.status == "IterationLimit"
 
 
-def reference_bound_qp(H, g, lb, ub, qp_tol, max_iter, warm_active):
+def reference_bound_qp(H, g, lb, ub, qp_tol, max_iter, warm_side):
     """The active-set method with the working set as an index -> 'lb' | 'ub'
     dict and the multiplier and ratio tests as scans in index order: the
-    reference that `qp._solve_bound_qp` must reproduce bit for bit."""
+    reference that `qp._solve_bound_qp` must reproduce bit for bit. The
+    signed warm start is read into that dict one entry at a time."""
     n = len(g)
     working = {}
     q = np.zeros(n)
-    if warm_active:
-        for i, side in warm_active:
-            if i < n:
-                working[i] = side
-                q[i] = lb[i] if side == "lb" else ub[i]
+    if warm_side is not None:
+        for i in np.flatnonzero(warm_side).tolist():
+            working[i] = "lb" if warm_side[i] < 0 else "ub"
+            q[i] = lb[i] if working[i] == "lb" else ub[i]
     for i in range(n):
         if i not in working:
             if q[i] <= lb[i] + 1e-14:
@@ -202,14 +207,26 @@ def reference_bound_qp(H, g, lb, ub, qp_tol, max_iter, warm_active):
     return q, H @ q + g, working, iters, "IterationLimit"
 
 
-def reference_solve(q, max_iter, warm_active):
+def to_side(working, n):
+    """The signed working set (-1 lb, +1 ub, 0 free) of an index ->
+    'lb' | 'ub' dict."""
+    side = np.zeros(n, dtype=int)
+    for i, bound in working.items():
+        side[i] = -1 if bound == "lb" else 1
+    return side
+
+
+def reference_solve(q, max_iter, warm_side):
     """solve_qp's step, bound multipliers, working set, iteration count and
     status, with the reference method and the multipliers read off the
-    working set one entry at a time."""
+    working set one entry at a time. The reference's lower and upper
+    multipliers (mu_lower = grad, mu_upper = -grad on the bound held) and
+    its index -> 'lb' | 'ub' working set are returned as the signed mu =
+    mu_upper - mu_lower and side of `QpSolution`."""
     Z, y0, H_red, g_red = condense(q)
     qu, rgrad, working, iters, status = reference_bound_qp(
         H_red, g_red, q.lb.ravel(), q.ub.ravel(), 1e-8, max_iter,
-        warm_active)
+        warm_side)
     mu_lower = np.zeros(len(qu))
     mu_upper = np.zeros(len(qu))
     for i, side in working.items():
@@ -217,7 +234,7 @@ def reference_solve(q, max_iter, warm_active):
             mu_lower[i] = rgrad[i]
         else:
             mu_upper[i] = -rgrad[i]
-    return (Z @ qu + y0, mu_lower, mu_upper, tuple(sorted(working.items())),
+    return (Z @ qu + y0, mu_upper - mu_lower, to_side(working, len(qu)),
             max(iters, 1), status)
 
 
@@ -255,25 +272,23 @@ def test_solver_matches_reference(kind, start):
             # the working set of a nearby QP, as in the SQP iteration
             e = q.e.copy()
             q.e = e + 0.3 * rng.standard_normal(e.shape)
-            warm = reference_solve(q, 500, None)[3]
+            warm = reference_solve(q, 500, None)[2]
             q.e = e
         elif start == "random":
             finite = np.flatnonzero(np.isfinite(q.lb.ravel())
                                     & np.isfinite(q.ub.ravel()))
             held = np.sort(rng.choice(finite, size=len(finite) // 2,
                                       replace=False))
-            warm = tuple((int(i), str(rng.choice(["lb", "ub"])))
-                         for i in held)
+            warm = np.zeros(q.lb.size, dtype=int)
+            warm[held] = [rng.choice([-1, 1]) for _ in held]
         for max_iter in (0, 1, 3, 500):
-            p, mu_lower, mu_upper, active, iters, status = reference_solve(
-                q, max_iter, warm)
-            sol = solve_qp(q, max_iter=max_iter, warm_active=warm)
+            p, mu, side, iters, status = reference_solve(q, max_iter, warm)
+            sol = solve_qp(q, max_iter=max_iter, warm_side=warm)
             assert np.array_equal(sol.p, p)
-            assert np.array_equal(sol.mu_lower, mu_lower)
-            assert np.array_equal(sol.mu_upper, mu_upper)
-            assert sol.active_set == active
+            assert np.array_equal(sol.mu, mu)
+            assert np.array_equal(sol.side, side)
             assert (sol.iterations, sol.status) == (iters, status)
-            most_active = max(most_active, len(active))
+            most_active = max(most_active, len(sol.active_set))
     assert most_active >= 3
 
 
@@ -286,13 +301,11 @@ def test_ties_and_full_steps_match_reference(g, side, ub0):
     # the lowest index wins a tie, and a step within 1e-16 of the full
     # step is taken whole
     H, lb, ub = np.eye(3), -np.ones(3), np.full(3, ub0)
-    warm = tuple((i, "ub") for i in np.flatnonzero(side))
     for max_iter in (1, 2, 500):
         ref_q, ref_grad, working, ref_iters, ref_status = reference_bound_qp(
-            H, g, lb, ub, 1e-8, max_iter, warm)
+            H, g, lb, ub, 1e-8, max_iter, np.array(side))
         q, grad, new_side, iters, status = _solve_bound_qp(
             H, g, lb, ub, 1e-8, max_iter, np.array(side))
         assert np.array_equal(q, ref_q) and np.array_equal(grad, ref_grad)
-        assert working == {i: "lb" if new_side[i] < 0 else "ub"
-                           for i in np.flatnonzero(new_side)}
+        assert np.array_equal(new_side, to_side(working, 3))
         assert (iters, status) == (ref_iters, ref_status)

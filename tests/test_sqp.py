@@ -9,7 +9,8 @@ from test_qp import assemble
 from esdirkopt import sqp
 from esdirkopt.bench import RunConfig, make_problem, sqp_settings
 from esdirkopt.integrator import WorkCounters
-from esdirkopt.nlp import DecisionVector, evaluate
+from esdirkopt.nlp import (DecisionVector,
+                           constraint_jacobian_transpose_times, evaluate)
 from esdirkopt.qp import QpProblem, ShootingHessian, condense, solve_qp
 from esdirkopt.sqp import (BFGS_DAMPING, BFGS_SKIP_NORM, HESSIAN_REG,
                            HESSIAN_SEED_U, SqpSettings, bfgs_update,
@@ -173,11 +174,12 @@ def test_kkt_violation_components():
     problem = make_problem(config)
     w = DecisionVector.filled(300.0, 4, 2, config.Nc)
     ev = evaluate(problem, w, WorkCounters())
+    grad = ev.grad.copy()
     lam = np.zeros((config.Nc, 4))
     mu = np.zeros(config.Nc * 2)
-    base = kkt_violation(ev, w, problem, lam, mu, mu)
+    base = kkt_violation(ev.grad, ev, w, problem, mu)
     assert base == pytest.approx(
-        max(reference_kkt(ev, w, problem, lam, mu, mu).values()),
+        max(reference_kkt(ev, w, problem, lam, mu).values()),
         rel=1e-13, abs=0)
     # at least the continuity residual and the gradient must show up
     assert base >= np.abs(ev.c).max()
@@ -186,11 +188,13 @@ def test_kkt_violation_components():
     w2 = w.copy()
     w2.U[3] = problem.u_min - 7.0
     ev2 = evaluate(problem, w2, WorkCounters())
-    assert kkt_violation(ev2, w2, problem, lam, mu, mu) >= 7.0
+    assert kkt_violation(ev2.grad, ev2, w2, problem, mu) >= 7.0
     # a multiplier on an inactive bound raises complementarity
     mu2 = mu.copy()
-    mu2[0] = 1.0                      # u_0 = 300, far from its lower bound
-    assert kkt_violation(ev, w, problem, lam, mu2, mu) >= 300.0
+    mu2[0] = -1.0                     # u_0 = 300, far from its lower bound
+    assert kkt_violation(ev.grad, ev, w, problem, mu2) >= 300.0
+    # the caller's Lagrangian gradient is read, not updated
+    assert np.array_equal(ev.grad, grad)
 
 
 def test_kkt_violation_infinite_bound():
@@ -202,17 +206,18 @@ def test_kkt_violation_infinite_bound():
                                             u_min=np.array([lb0, 0.0])))
         w = DecisionVector.filled(300.0, 4, 2, 6)
         ev = evaluate(problem, w, WorkCounters())
-        mu_upper = np.zeros(12)
-        mu_upper[1] = 1e4                 # u_max - u = 200
-        values.append(kkt_violation(ev, w, problem, np.zeros((6, 4)),
-                                    np.zeros(12), mu_upper))
+        mu = np.zeros(12)
+        mu[1] = 1e4                       # upper bound: u_max - u = 200
+        values.append(kkt_violation(ev.grad, ev, w, problem, mu))
     assert values[0] == values[1] >= 2e6
 
 
-def reference_kkt(ev, w, problem, lam, mu_lower, mu_upper):
+def reference_kkt(ev, w, problem, lam, mu):
     """The components of kkt_violation, from the dense continuity Jacobian
-    and one loop over the intervals."""
+    and one loop over the intervals, with the signed multipliers split into
+    a lower part max(-mu, 0) and an upper part max(mu, 0)."""
     n_x, n_u, Nc = w.n_x, w.n_u, w.Nc
+    mu_lower, mu_upper = np.maximum(-mu, 0.0), np.maximum(mu, 0.0)
     J = dense_constraint_jacobian(ev, n_x, n_u, Nc)
     grad_l = ev.grad + J.T @ lam.ravel()
     u_all = np.zeros(Nc * n_u)
@@ -246,12 +251,15 @@ def test_kkt_violation_matches_dense_reference(dominant, lam_scale,
     w.U[3] = problem.u_max + 1.0                 # one bound violated
     ev = evaluate(problem, w, WorkCounters())
     lam = lam_scale * rng.standard_normal(w.X.shape)
-    mu_lower = mu_lower_scale * rng.random(w.U.size)
-    mu_upper = mu_upper_scale * rng.random(w.U.size)
-    ref = reference_kkt(ev, w, problem, lam, mu_lower, mu_upper)
+    # one signed multiplier per input: a lower one (< 0) or an upper one
+    lower = rng.random(w.U.size) < 0.5
+    mu = np.where(lower, -mu_lower_scale, mu_upper_scale) \
+        * rng.random(w.U.size)
+    ref = reference_kkt(ev, w, problem, lam, mu)
     assert max(ref, key=ref.get) == dominant
     assert ref["bounds"] == 1.0
-    value = kkt_violation(ev, w, problem, lam, mu_lower, mu_upper)
+    grad_l = ev.grad + constraint_jacobian_transpose_times(ev, w, lam)
+    value = kkt_violation(grad_l, ev, w, problem, mu)
     assert value == pytest.approx(max(ref.values()), rel=1e-13, abs=0)
 
 
@@ -268,6 +276,23 @@ def test_solver_converges_and_respects_bounds():
     assert np.abs(ev.c).max() <= config.tol_sqp
     assert np.all(result.w_star.U >= problem.u_min - 1e-9)
     assert np.all(result.w_star.U <= problem.u_max + 1e-9)
+
+
+def test_two_lagrangian_gradients_per_iteration(monkeypatch):
+    # each step forms grad phi + J_c' lam at the old and the new iterate;
+    # the KKT check reads the new one instead of forming a third
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return constraint_jacobian_transpose_times(*args)
+
+    monkeypatch.setattr(sqp, "constraint_jacobian_transpose_times", counted)
+    config = small_config()
+    result = solve_ocp(make_problem(config), sqp_settings(config),
+                       DecisionVector.filled(300.0, 4, 2, config.Nc))
+    assert result.converged and result.sqp_iterations > 0
+    assert len(calls) == 2 * result.sqp_iterations
 
 
 def test_counters_accumulate_across_evaluations():
