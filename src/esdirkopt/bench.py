@@ -245,7 +245,8 @@ def run_sweep(base_config, n_list=SWEEP_N, jobs=1, row_sink=None):
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+    if not isinstance(jobs, numbers.Integral) or isinstance(jobs, bool) \
+            or jobs < 1:
         raise ConfigError(f"jobs: expected integer >= 1, got {jobs!r}")
     points = [replace(base_config, method=m, sens=s, N=int(n))
               for m in METHODS for s in SENS_MODES for n in n_list]

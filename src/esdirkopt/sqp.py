@@ -70,25 +70,29 @@ def bfgs_update(H, s, y):
                    Vm=np.column_stack([H.Vm, Hs / np.sqrt(sHs)]))
 
 
-def kkt_violation(grad_l, ev, w, problem, mu):
+def kkt_violation(grad_l, c, w, problem, mu, side):
     """Composite optimality residual in the infinity norm.
 
     grad_l is the Lagrangian gradient grad phi + J_c' lam at w, which the
-    caller has already formed, and mu the signed bound multipliers of
-    `QpSolution` (negative on a lower bound, positive on an upper one).
-    Maximum of Lagrangian stationarity, continuity violation, bound
-    violation, and complementarity of the bound multipliers.
+    caller has already formed, and c the continuity residual at w. mu and
+    side are the signed bound multipliers and the working set of
+    `QpSolution`. side, not the sign of mu, names the bound a multiplier
+    belongs to: the QP stops with a held bound's multiplier anywhere up to
+    its tolerance on the wrong side of 0. Maximum of Lagrangian
+    stationarity, continuity violation, bound violation, and
+    complementarity of the bound multipliers.
     """
     mu = mu.reshape(w.U.shape)
+    side = side.reshape(w.U.shape)
     grad_l = DecisionVector(grad_l.copy(), w.n_x, w.n_u, w.Nc)
     grad_l.U += mu
     u, lb, ub = w.U, problem.u_min, problem.u_max
     stationarity = np.abs(grad_l.w).max()
-    feasibility = np.abs(ev.c).max()
+    feasibility = np.abs(c).max()
     bound_viol = max(np.maximum(lb - u, 0.0).max(),
                      np.maximum(u - ub, 0.0).max())
     # only where a multiplier is nonzero: 0 * inf at an infinite bound
-    lo, hi = mu < 0, mu > 0
+    lo, hi = (side < 0) & (mu != 0), (side > 0) & (mu != 0)
     comp = max(np.abs(mu[lo] * (u - lb)[lo]).max(initial=0.0),
                np.abs(mu[hi] * (ub - u)[hi]).max(initial=0.0))
     return max(stationarity, feasibility, bound_viol, comp)
@@ -179,8 +183,10 @@ def solve_ocp(problem, settings, w0, counters=None):
     side = None                    # the QP working set, for warm starts
     mu_merit = 0.0
     qp_total = 0
-    # with all multipliers 0 the Lagrangian gradient is the gradient
-    kkt = kkt_violation(ev.grad, ev, w, problem, np.zeros(w.U.size))
+    # no multipliers and an empty working set: the Lagrangian gradient is
+    # the gradient
+    none = np.zeros(w.U.size)
+    kkt = kkt_violation(ev.grad, ev.c, w, problem, none, none)
     it, reason = 0, None
     while not kkt <= settings.tol_kkt:        # a NaN residual is not converged
         if it == settings.max_sqp_iter:
@@ -211,7 +217,7 @@ def solve_ocp(problem, settings, w0, counters=None):
         H = bfgs_update(H, w_new.w - w.w, grad_l_new - grad_l_old)
         w, ev = w_new, ev_new
         side = sol.side
-        kkt = kkt_violation(grad_l_new, ev, w, problem, sol.mu)
+        kkt = kkt_violation(grad_l_new, ev.c, w, problem, sol.mu, sol.side)
     return SqpResult(w_star=w, converged=reason is None, kkt=kkt,
                      sqp_iterations=it, qp_iterations_total=qp_total,
                      counters=counters, failure_reason=reason,

@@ -293,7 +293,7 @@ def test_cli_rejects_worker_counts_below_one(capsys, command, jobs):
 
 
 def test_run_sweep_rejects_worker_counts_below_one():
-    for jobs in (0, -3, 1.5, "2"):
+    for jobs in (0, -3, 1.5, "2", True):
         with pytest.raises(ConfigError):
             run_sweep(quick_config(), jobs=jobs)
 

@@ -177,9 +177,10 @@ def test_kkt_violation_components():
     grad = ev.grad.copy()
     lam = np.zeros((config.Nc, 4))
     mu = np.zeros(config.Nc * 2)
-    base = kkt_violation(ev.grad, ev, w, problem, mu)
+    side = np.zeros(config.Nc * 2, dtype=int)
+    base = kkt_violation(ev.grad, ev.c, w, problem, mu, side)
     assert base == pytest.approx(
-        max(reference_kkt(ev, w, problem, lam, mu).values()),
+        max(reference_kkt(ev, w, problem, lam, mu, side).values()),
         rel=1e-13, abs=0)
     # at least the continuity residual and the gradient must show up
     assert base >= np.abs(ev.c).max()
@@ -188,11 +189,11 @@ def test_kkt_violation_components():
     w2 = w.copy()
     w2.U[3] = problem.u_min - 7.0
     ev2 = evaluate(problem, w2, WorkCounters())
-    assert kkt_violation(ev2.grad, ev2, w2, problem, mu) >= 7.0
+    assert kkt_violation(ev2.grad, ev2.c, w2, problem, mu, side) >= 7.0
     # a multiplier on an inactive bound raises complementarity
-    mu2 = mu.copy()
-    mu2[0] = -1.0                     # u_0 = 300, far from its lower bound
-    assert kkt_violation(ev.grad, ev, w, problem, mu2) >= 300.0
+    mu2, side2 = mu.copy(), side.copy()
+    mu2[0], side2[0] = -1.0, -1       # u_0 = 300, far from its lower bound
+    assert kkt_violation(ev.grad, ev.c, w, problem, mu2, side2) >= 300.0
     # the caller's Lagrangian gradient is read, not updated
     assert np.array_equal(ev.grad, grad)
 
@@ -206,18 +207,40 @@ def test_kkt_violation_infinite_bound():
                                             u_min=np.array([lb0, 0.0])))
         w = DecisionVector.filled(300.0, 4, 2, 6)
         ev = evaluate(problem, w, WorkCounters())
-        mu = np.zeros(12)
-        mu[1] = 1e4                       # upper bound: u_max - u = 200
-        values.append(kkt_violation(ev.grad, ev, w, problem, mu))
+        mu, side = np.zeros(12), np.zeros(12, dtype=int)
+        mu[1], side[1] = 1e4, 1           # upper bound: u_max - u = 200
+        values.append(kkt_violation(ev.grad, ev.c, w, problem, mu, side))
     assert values[0] == values[1] >= 2e6
 
 
-def reference_kkt(ev, w, problem, lam, mu):
+@pytest.mark.parametrize("held, wrong_sign", [(-1, 1e-9), (1, -1e-9)])
+def test_kkt_violation_reads_the_bound_from_the_working_set(held, wrong_sign):
+    # the QP stops with a held bound's multiplier up to its tolerance on
+    # the wrong side of 0; complementarity still scores it against the
+    # bound it holds, not against the opposite, infinite one
+    bound = {-1: "u_min", 1: "u_max"}[held]
+    other = {-1: "u_max", 1: "u_min"}[held]
+    config = small_config(Nc=6, **{other: np.array([-held * np.inf] * 2)})
+    problem = make_problem(config)
+    w = DecisionVector.filled(300.0, 4, 2, 6)
+    w.U[0, 0] = getattr(problem, bound)[0] - held * 1e-3
+    ev = evaluate(problem, w, WorkCounters())
+    mu, side = np.zeros(12), np.zeros(12, dtype=int)
+    mu[0], side[0] = wrong_sign, held
+    value = kkt_violation(ev.grad, ev.c, w, problem, mu, side)
+    ref = reference_kkt(ev, w, problem, np.zeros((6, 4)), mu, side)
+    assert ref["complementarity"] == pytest.approx(1e-12, rel=1e-6)
+    assert value == pytest.approx(max(ref.values()), rel=1e-13, abs=0)
+
+
+def reference_kkt(ev, w, problem, lam, mu, side):
     """The components of kkt_violation, from the dense continuity Jacobian
-    and one loop over the intervals, with the signed multipliers split into
-    a lower part max(-mu, 0) and an upper part max(mu, 0)."""
+    and one loop over the inputs, with the signed multipliers split by the
+    working set into a lower part -mu (side -1) and an upper part mu
+    (side +1)."""
     n_x, n_u, Nc = w.n_x, w.n_u, w.Nc
-    mu_lower, mu_upper = np.maximum(-mu, 0.0), np.maximum(mu, 0.0)
+    mu_lower = np.where(side < 0, -mu, 0.0)
+    mu_upper = np.where(side > 0, mu, 0.0)
     J = dense_constraint_jacobian(ev, n_x, n_u, Nc)
     grad_l = ev.grad + J.T @ lam.ravel()
     u_all = np.zeros(Nc * n_u)
@@ -228,12 +251,17 @@ def reference_kkt(ev, w, problem, lam, mu):
         u_all[block] = w.w[o:o + n_u]
     lb = np.tile(problem.u_min, Nc)
     ub = np.tile(problem.u_max, Nc)
+    comp = 0.0
+    for i in range(Nc * n_u):       # a zero multiplier scores no bound
+        if mu_lower[i] != 0:
+            comp = max(comp, abs(mu_lower[i] * (u_all[i] - lb[i])))
+        if mu_upper[i] != 0:
+            comp = max(comp, abs(mu_upper[i] * (ub[i] - u_all[i])))
     return {"stationarity": np.abs(grad_l).max(),
             "feasibility": np.abs(ev.c).max(),
             "bounds": max(np.maximum(lb - u_all, 0.0).max(),
                           np.maximum(u_all - ub, 0.0).max()),
-            "complementarity": max(np.abs(mu_lower * (u_all - lb)).max(),
-                                   np.abs(mu_upper * (ub - u_all)).max())}
+            "complementarity": comp}
 
 
 @pytest.mark.parametrize("dominant, lam_scale, mu_lower_scale, mu_upper_scale",
@@ -253,13 +281,14 @@ def test_kkt_violation_matches_dense_reference(dominant, lam_scale,
     lam = lam_scale * rng.standard_normal(w.X.shape)
     # one signed multiplier per input: a lower one (< 0) or an upper one
     lower = rng.random(w.U.size) < 0.5
+    side = np.where(lower, -1, 1)
     mu = np.where(lower, -mu_lower_scale, mu_upper_scale) \
         * rng.random(w.U.size)
-    ref = reference_kkt(ev, w, problem, lam, mu)
+    ref = reference_kkt(ev, w, problem, lam, mu, side)
     assert max(ref, key=ref.get) == dominant
     assert ref["bounds"] == 1.0
     grad_l = ev.grad + constraint_jacobian_transpose_times(ev, w, lam)
-    value = kkt_violation(grad_l, ev, w, problem, mu)
+    value = kkt_violation(grad_l, ev.c, w, problem, mu, side)
     assert value == pytest.approx(max(ref.values()), rel=1e-13, abs=0)
 
 
