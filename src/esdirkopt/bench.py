@@ -87,14 +87,16 @@ class RunConfig:
                               f"{'/'.join(SENS_MODES)}")
         for name in ("N", "Nc", "max_sqp_iter"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
                 raise ConfigError(f"{name}: expected integer >= 1, "
                                   f"got {value!r}")
         positive = ("Ts", "tol_sqp", "tol_qp", "tol_step", "abs", "rel",
                     "tau")
         for name in positive + ("init_value",):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if (not isinstance(value, numbers.Real)
+                    or isinstance(value, bool) or not np.isfinite(value)):
                 raise ConfigError(f"{name}: expected a finite number, "
                                   f"got {value!r}")
         for name in positive:
@@ -113,7 +115,7 @@ class RunConfig:
                 raise ConfigError(f"{name}: expected {n} values, "
                                   f"got {getattr(self, name)!r}")
         for name in ("x0", "d", "u_prev", "setpoint_first",
-                     "setpoint_second"):
+                     "setpoint_second", "qz", "qdu"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name}: expected finite values, "
                                   f"got {getattr(self, name)!r}")

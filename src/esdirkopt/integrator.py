@@ -8,9 +8,9 @@ single interval is the batch of one row. The sensitivity mode fixes the
 iteration matrix strategy (``strategy_of``): the base case takes a fresh
 Jacobian and factorization at every Newton iterate, every other mode one
 factorization of M_k = I - h*gamma*df/dx(x_k) per step. Each stage is
-differentiated as it is solved (see ``sensitivity``), so a step keeps no
-record of its Newton rounds. Work counters track every model evaluation
-and factorization exactly, row by row.
+differentiated as it is solved (see ``sensitivity``), so a step returns
+just its converged stages and their sensitivities. Work counters track
+every model evaluation and factorization exactly, row by row.
 """
 
 import enum
@@ -23,7 +23,7 @@ from .errors import (ContractViolation, DomainError, NewtonDivergence,
                      SingularMatrix)
 from .sensitivity import (SensitivityMode, SensitivityPair, direct_propagate,
                           iterated_propagate)
-from .tableau import predict_stages, svp_coefficients
+from .tableau import predict_stages
 
 
 class NewtonStrategy(enum.Enum):
@@ -102,26 +102,23 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
         raise ValueError("n_steps must be at least 1")
     if dt <= 0:
         raise ValueError("interval length must be positive")
-    x = np.asarray(x_0, float).copy()
+    x = np.asarray(x_0, float)
     u = np.asarray(u, float)
-    nb = x.shape[0]
-    n_x, n_u = model.n_x, model.n_u
     h = dt / n_steps
-    svp = svp_coefficients(tab, 1.0) if n_steps > 1 else None
 
-    sens = np.tile(np.hstack((np.eye(n_x), np.zeros((n_x, n_u)))),
-                   (nb, 1, 1))
-    traj = np.empty((nb, n_steps + 1, n_x))
-    traj[:, 0] = x
+    sens = np.tile(np.eye(model.n_x, model.n_x + model.n_u), (len(x), 1, 1))
+    traj = [x]
     step_sens = []
     prev = None
-    for k in range(n_steps):
-        prev = esdirk_step(model, tab, settings, mode, x, sens, u, d, h,
-                           prev, counters, svp)
-        x, sens = prev["x_next"], prev["sens_next"]
+    for _ in range(n_steps):
+        stages, stage_sens = esdirk_step(model, tab, settings, mode, x, sens,
+                                         u, d, h, prev, counters)
+        prev = (x, stages, sens, stage_sens)
+        x, sens = stages[-1], stage_sens[-1]
+        traj.append(x)
         step_sens.append(sens)
-        traj[:, k + 1] = x
-    return IntervalResult(x_final=x, trajectory=traj, step_sens=step_sens)
+    return IntervalResult(x_final=x, trajectory=np.stack(traj, axis=1),
+                          step_sens=step_sens)
 
 
 def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
@@ -148,21 +145,22 @@ def _remap_batch_row(exc, rows):
 
 
 def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
-                counters, svp):
+                counters):
     """One ESDIRK step of size h from the (B, n_x) states x_k.
 
     ``sens_k`` holds the packed sensitivities at x_k, one (n_x, n_x + n_u)
     matrix per row, and u the (B, n_u) inputs. ``prev`` is the previous
-    step's record, whose stages the stage value predictors ``svp`` extend,
-    or None for the trivial predictor X_i^0 = x_k. A row leaves the Newton
-    loop of a stage as soon as its scaled residual is below tau, after at
-    least one update however good its predictor. The stage sensitivities
-    are propagated stage by stage next to the states (see ``sensitivity``).
+    step's ``(x_k, stages, sens_k, stage_sens)``, which the tableau's stage
+    value predictors extend, or None for the trivial predictor X_i^0 = x_k.
+    A row leaves the Newton loop of a stage as soon as its scaled residual
+    is below tau, after at least one update however good its predictor.
+    The stage sensitivities are propagated next to the states.
 
-    Returns the step record, a dict holding ``x_next``, the converged
-    ``stages``, ``sens_next`` and the per-stage ``stage_sens``.
-    Raises DomainError, NewtonDivergence or SingularMatrix with the failing
-    row in ``batch_row``.
+    Returns ``(stages, stage_sens)``: the converged stages X_2..X_s and
+    their packed sensitivities, two lists of s - 1 arrays whose last
+    entries are the step result by stiff accuracy. Raises DomainError,
+    NewtonDivergence or SingularMatrix with the failing row in
+    ``batch_row``.
     """
     s = tab.s
     hg = h * tab.gamma
@@ -170,7 +168,7 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
     n_x, n_u = model.n_x, model.n_u
     eye = np.eye(n_x)
     iterated = mode is SensitivityMode.ITERATED
-    reuse = strategy_of(mode) is NewtonStrategy.REUSE_PER_STEP
+    reuse = mode is not SensitivityMode.BASE_DIRECT
 
     jx_k, ju_k = model.jacobians_batch(x_k)
     counters.jac_x_evals += nb
@@ -179,15 +177,15 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
         counters.lu_factorizations += nb
 
     # stage predictors (and their derivatives for the iterated mode)
-    if prev is not None:
-        predictions = predict_stages(svp, prev["x_start"], prev["stages"])
-        if iterated:
-            sens_predictions = predict_stages(svp, prev["sens_in"],
-                                              prev["stage_sens"])
+    if prev is None:
+        predictions = [x_k] * (s - 1)
+        sens_predictions = [sens_k] * (s - 1)
     else:
-        predictions = [x_k.copy() for _ in range(s - 1)]
+        x_prev, stages_prev, sens_prev, stage_sens_prev = prev
+        predictions = predict_stages(tab.svp, x_prev, stages_prev)
         if iterated:
-            sens_predictions = [sens_k.copy() for _ in range(s - 1)]
+            sens_predictions = predict_stages(tab.svp, sens_prev,
+                                              stage_sens_prev)
 
     f_vals = [model.f_batch(x_k, u, d)]
     counters.f_evals += nb
@@ -214,8 +212,7 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
             sens_it = sens_predictions[idx].copy()
             jx_conv = np.empty((nb, n_x, n_x))
             ju_conv = np.empty((nb, n_x, n_u))
-        l = 0
-        while active.size:
+        for l in range(settings.max_iterations + 1):
             xa = x_it[active]
             try:
                 fa = model.f_batch(xa, u[active], d)
@@ -223,45 +220,42 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                 raise _remap_batch_row(exc, active)
             counters.f_evals += active.size
             r = xa - hg * fa - psi_i[active]
-            if l > 0:
+            if l:
                 denom = np.maximum(settings.abs, settings.rel * np.abs(xa))
                 done = np.max(np.abs(r) / denom, axis=1) < settings.tau
-            else:
-                done = np.zeros(active.size, dtype=bool)
-            if np.any(done):
-                f_conv[active[done]] = fa[done]
-            cont = ~done
-            if not np.any(cont):
-                break
-            if l >= settings.max_iterations:
-                row = int(active[cont][0])
-                exc = NewtonDivergence(
-                    f"stage {i}, batch row {row}: no convergence in "
-                    f"{settings.max_iterations} iterations")
-                exc.batch_row = row
-                raise exc
-            upd = active[cont]
+                if done.any():
+                    f_conv[active[done]] = fa[done]
+                    keep = ~done
+                    active = active[keep]
+                    if not active.size:
+                        break
+                    r = r[keep]
+                if l == settings.max_iterations:
+                    row = int(active[0])
+                    exc = NewtonDivergence(
+                        f"stage {i}, batch row {row}: no convergence in "
+                        f"{settings.max_iterations} iterations")
+                    exc.batch_row = row
+                    raise exc
             if iterated or not reuse:
                 try:
-                    jx_it, ju_it = model.jacobians_batch(x_it[upd])
-                    counters.jac_x_evals += upd.size
+                    jx_it, ju_it = model.jacobians_batch(x_it[active])
+                    counters.jac_x_evals += active.size
                     if not reuse:
                         fac = linalg.lu_factorize_batch(eye - hg * jx_it)
-                        counters.lu_factorizations += upd.size
+                        counters.lu_factorizations += active.size
                 except (DomainError, SingularMatrix) as exc:
-                    raise _remap_batch_row(exc, upd)
+                    raise _remap_batch_row(exc, active)
             if reuse:
-                fac = factors[upd]
-            x_it[upd] = x_it[upd] - linalg.lu_solve_batch(fac, r[cont])
+                fac = factors[active]
+            x_it[active] -= linalg.lu_solve_batch(fac, r)
             if iterated:
-                counters.jac_u_evals += upd.size
-                sens_it[upd] = iterated_propagate(sens_it[upd], jx_it, ju_it,
-                                                  dpsi_i[upd], fac, hg)
-                jx_conv[upd] = jx_it
-                ju_conv[upd] = ju_it
-            counters.newton_iterations += upd.size
-            active = upd
-            l += 1
+                counters.jac_u_evals += active.size
+                sens_it[active] = iterated_propagate(
+                    sens_it[active], jx_it, ju_it, dpsi_i[active], fac, hg)
+                jx_conv[active] = jx_it
+                ju_conv[active] = ju_it
+            counters.newton_iterations += active.size
 
         stages.append(x_it)
         f_vals.append(f_conv)
@@ -276,14 +270,10 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
             if not reuse or idx < s - 2:
                 counters.jac_x_evals += nb
             counters.jac_u_evals += nb
-            if reuse:
-                fac = factors
-            else:
-                fac = linalg.lu_factorize_batch(eye - hg * jx_i)
+            if not reuse:
+                factors = linalg.lu_factorize_batch(eye - hg * jx_i)
                 counters.lu_factorizations += nb
-            sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
+            sens_i = direct_propagate(dpsi_i, ju_i, factors, hg)
         stage_sens.append(sens_i)
 
-    return {"x_start": x_k, "x_next": stages[-1], "stages": stages,
-            "sens_in": sens_k, "stage_sens": stage_sens,
-            "sens_next": stage_sens[-1]}
+    return stages, stage_sens

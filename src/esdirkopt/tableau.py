@@ -9,7 +9,8 @@ solution of the full order-3/order-4 condition system with gamma the root
 of x^3 - 3x^2 + 3x/2 - 1/6 near 0.43587.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class ButcherTableau:
     gamma: float
     advancing_order: int
     embedded_order: int
+
+    @cached_property
+    def svp(self):
+        """The stage value predictor weights, computed once per tableau."""
+        return svp_coefficients(self)
 
 
 @dataclass(frozen=True)
@@ -116,23 +122,21 @@ def verify_order_conditions(t, p, weights=None, tol=1e-12):
     return bool(np.abs(order_condition_residuals(t.a, w, t.c, p)).max() <= tol)
 
 
-def svp_coefficients(t, r):
+def svp_coefficients(t):
     """Predictor weights by Lagrange extrapolation through the previous step.
 
     The previous step's values x_{k-1}, Xhat_2, .., Xhat_s live at the local
     abscissae 0, c_2, .., c_s; the degree-(s-1) interpolant through them is
-    evaluated at 1 + r*c_i for each implicit stage of the new step. For
-    ESDIRK12 and ESDIRK23 this reproduces the published closed forms.
+    evaluated at 1 + c_i for each implicit stage of the new step, which has
+    the same size. For ESDIRK12 and ESDIRK23 this reproduces the published
+    closed forms at step-size ratio 1.
     """
-    if r <= 0:
-        raise ValueError("step-size ratio r must be positive")
     nodes = np.concatenate(([0.0], t.c[1:]))
     m = t.s - 1
     alpha = np.empty(m)
     beta = np.empty((m, m))
     for i in range(m):
-        x = 1.0 + r * t.c[i + 1]
-        w = _lagrange_weights(nodes, x)
+        w = _lagrange_weights(nodes, 1.0 + t.c[i + 1])
         alpha[i] = w[0]
         beta[i] = w[1:]
     return SvpCoefficients(alpha=alpha, beta=beta)

@@ -120,29 +120,28 @@ def test_direct_mode_bias_vanishes_with_step_size():
 # -- 5. stage value predictor closed forms ----------------------------------
 
 def test_predictor_closed_forms_and_exactness():
-    rng = np.random.default_rng(7)
-    g23 = make_tableau("ESDIRK23").gamma
-    for r in rng.uniform(0.05, 3.0, size=100):
-        c12 = svp_coefficients(make_tableau("ESDIRK12"), r)
-        assert c12.alpha[0] == pytest.approx(-r, abs=1e-12)
-        assert c12.beta[0, 0] == pytest.approx(1.0 + r, abs=1e-12)
+    # the published closed forms at the fixed step size, ratio r = 1
+    r = 1.0
+    c12 = svp_coefficients(make_tableau("ESDIRK12"))
+    assert c12.alpha[0] == pytest.approx(-r, abs=1e-12)
+    assert c12.beta[0, 0] == pytest.approx(1.0 + r, abs=1e-12)
 
-        c23 = svp_coefficients(make_tableau("ESDIRK23"), r)
-        g = g23
-        a_ref = [r - 2.0 * g * r + 2.0 * g * r ** 2,
-                 (r - 2.0 * g * r + r ** 2) / (2.0 * g)]
-        b_ref = [[(2.0 * g * r ** 2 + r) / (2.0 * g - 1.0),
-                  -(4.0 * g ** 2 * r ** 2 - 4.0 * g ** 2 * r
-                    + 4.0 * g * r - 2.0 * g + 1.0) / (2.0 * g - 1.0)],
-                 [(r ** 2 + r) / (2.0 * g * (2.0 * g - 1.0)),
-                  -(2.0 * r - 2.0 * g - 2.0 * g * r + r ** 2 + 1.0)
-                  / (2.0 * g - 1.0)]]
-        assert np.allclose(c23.alpha, a_ref, rtol=0, atol=1e-12)
-        assert np.allclose(c23.beta, b_ref, rtol=0, atol=1e-12)
+    c23 = svp_coefficients(make_tableau("ESDIRK23"))
+    g = make_tableau("ESDIRK23").gamma
+    a_ref = [r - 2.0 * g * r + 2.0 * g * r ** 2,
+             (r - 2.0 * g * r + r ** 2) / (2.0 * g)]
+    b_ref = [[(2.0 * g * r ** 2 + r) / (2.0 * g - 1.0),
+              -(4.0 * g ** 2 * r ** 2 - 4.0 * g ** 2 * r
+                + 4.0 * g * r - 2.0 * g + 1.0) / (2.0 * g - 1.0)],
+             [(r ** 2 + r) / (2.0 * g * (2.0 * g - 1.0)),
+              -(2.0 * r - 2.0 * g - 2.0 * g * r + r ** 2 + 1.0)
+              / (2.0 * g - 1.0)]]
+    assert np.allclose(c23.alpha, a_ref, rtol=0, atol=1e-12)
+    assert np.allclose(c23.beta, b_ref, rtol=0, atol=1e-12)
 
     # a constant state is predicted exactly by every method
     for method in ("ESDIRK12", "ESDIRK23", "ESDIRK34"):
-        coeffs = svp_coefficients(make_tableau(method), 0.8)
+        coeffs = svp_coefficients(make_tableau(method))
         combined = coeffs.alpha + coeffs.beta.sum(axis=1)
         assert np.allclose(combined, 1.0, rtol=0, atol=1e-12)
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             RunConfig(u_min=np.full(2, bound),
                       u_max=np.full(2, bound)).validate()
+    for name in ("N", "Nc", "max_sqp_iter", "Ts", "init_value", "tau"):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: True}).validate()
     assert RunConfig().validate() is not None
 
 
@@ -306,9 +311,33 @@ def test_run_sweep_rejects_worker_counts_below_one():
     "qz = [-10, -10]", "qdu = [0.1, -0.1]", "qz = [nan, nan]",
     "x0 = [nan, 1, 1, 1]", "d = [0, 0, inf, 100]", "u_prev = [300, nan]",
     "setpoint_first = [-inf, 30]", "setpoint_second = [30, nan]",
-    "u_max = [nan, 500]", "u_min = [nan, 0]"])
+    "u_max = [nan, 500]", "u_min = [nan, 0]", "qz = [inf, 10]",
+    "qdu = [inf, 0.1]"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert main(["solve", "--config", str(cfg)]) == 2
     assert line.split()[0] in capsys.readouterr().err
+
+
+def test_bench_pairs_compares_matching_rows_only():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def row(method, N, sqp_iters, kkt):
+        return dict(dict.fromkeys(bench_pairs.COUNTS, 0), method=method,
+                    sens="direct", N=N, sqp_iters=sqp_iters, kkt=repr(kkt))
+
+    base = {"rows": [row("esdirk12", 5, 7, 1e-4),
+                     row("esdirk12", 10, 9, 2e-4)]}
+    change = {"rows": [row("esdirk12", 5, 8, 1e-4),
+                       row("esdirk12", 10, 9, 3e-4)]}
+    moved, kkt_rel = bench_pairs.moved_rows(base, change)
+    assert moved == [{"row": "esdirk12/direct/N=5", "sqp_iters": [7, 8]}]
+    assert kkt_rel == pytest.approx(0.5)
+    for rows in (change["rows"][:1], change["rows"][::-1],
+                 [row("esdirk23", 5, 7, 1e-4), change["rows"][1]]):
+        with pytest.raises(ValueError):
+            bench_pairs.moved_rows(base, {"rows": rows})

@@ -8,7 +8,7 @@ from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   integrate_intervals_batch, strategy_of)
 from esdirkopt.model import LinearTestModel, QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode
-from esdirkopt.tableau import make_tableau, svp_coefficients
+from esdirkopt.tableau import make_tableau
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
@@ -29,22 +29,27 @@ def run_qts(method, mode, n_steps=10, settings=None, x0=X0, u=U0):
 def step_qts(method, mode, n_steps=10):
     """run_qts stepped by hand with esdirk_step on a batch of one row.
 
-    Returns the counters and the Newton iteration count of every step.
+    Checks the final state, its sensitivities and the counters against
+    run_qts, and returns the counters and the Newton iteration count of
+    every step.
     """
     model, tab = QuadrupleTank(), make_tableau(method)
-    svp = svp_coefficients(tab, 1.0)
     counters = WorkCounters()
     x = X0[None]
     sens = np.hstack((np.eye(4), np.zeros((4, 2))))[None]
     prev, counts = None, []
     for _ in range(n_steps):
         before = counters.newton_iterations
-        prev = esdirk_step(model, tab, NewtonSettings(), mode, x, sens,
-                           U0[None], D0, 10.0 / n_steps, prev, counters, svp)
-        x, sens = prev["x_next"], prev["sens_next"]
+        stages, stage_sens = esdirk_step(model, tab, NewtonSettings(), mode,
+                                         x, sens, U0[None], D0,
+                                         10.0 / n_steps, prev, counters)
+        prev = (x, stages, sens, stage_sens)
+        x, sens = stages[-1], stage_sens[-1]
         counts.append(counters.newton_iterations - before)
-    _, reference = run_qts(method, mode, n_steps)
-    assert counters.as_dict() == reference.as_dict()
+    reference, work = run_qts(method, mode, n_steps)
+    assert np.array_equal(x[0], reference.x_final)
+    assert np.array_equal(sens[0], reference.sens.packed)
+    assert counters.as_dict() == work.as_dict()
     return counters, np.array(counts)
 
 
@@ -55,13 +60,13 @@ def test_esdirk12_step_is_implicit_euler():
     x0 = np.array([[1.7], [-0.4], [3.0]])
     u = np.array([[0.4], [0.0], [-1.1]])
     sens0 = np.tile(np.eye(1, 2), (3, 1, 1))
-    rec = esdirk_step(m, make_tableau("ESDIRK12"), TIGHT,
-                      SensitivityMode.DIRECT, x0, sens0, u, None, h, None,
-                      WorkCounters(), None)
+    stages, stage_sens = esdirk_step(
+        m, make_tableau("ESDIRK12"), TIGHT, SensitivityMode.DIRECT, x0,
+        sens0, u, None, h, None, WorkCounters())
     exact = (x0 + h * (u + forcing)) / (1.0 - h * lam)
-    assert np.allclose(rec["x_next"], exact, rtol=1e-12, atol=0)
-    # d x_next / d(x0, u) of implicit Euler, for every row
-    assert np.allclose(rec["sens_next"],
+    assert np.allclose(stages[-1], exact, rtol=1e-12, atol=0)
+    # d x_1 / d(x0, u) of implicit Euler, for every row
+    assert np.allclose(stage_sens[-1],
                        np.array([[[1.0, h]]]) / (1.0 - h * lam),
                        rtol=1e-14, atol=0)
 
@@ -197,7 +202,7 @@ def test_min_one_newton_iteration():
     esdirk_step(m, make_tableau("ESDIRK23"), NewtonSettings(),
                 SensitivityMode.DIRECT, np.array([[1.0], [2.0]]),
                 np.tile(np.eye(1, 2), (2, 1, 1)), np.zeros((2, 1)), None,
-                0.1, None, counters, None)
+                0.1, None, counters)
     # exactly one update for each of the 2 rows and 2 implicit stages
     assert counters.newton_iterations == 4
 

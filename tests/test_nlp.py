@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from esdirkopt.bench import SetpointSwitch
-from esdirkopt.errors import EvaluationError, SingularMatrix
+from esdirkopt.errors import (EvaluationError, NewtonDivergence,
+                              SingularMatrix)
 from esdirkopt.integrator import (NewtonSettings, WorkCounters,
-                                  integrate_interval, strategy_of)
-from esdirkopt.model import QuadrupleTank
+                                  integrate_interval,
+                                  integrate_intervals_batch, strategy_of)
+from esdirkopt.model import LinearTestModel, QuadrupleTank
 from esdirkopt.nlp import (DecisionVector, OcpProblem,
                            constraint_jacobian_transpose_times, evaluate)
 from esdirkopt.sensitivity import SensitivityMode
@@ -198,6 +200,43 @@ def test_evaluation_error_carries_interval():
     w.U[2] = -1e5                  # drains the tanks below zero mass
     with pytest.raises(EvaluationError) as err:
         evaluate(problem, w, WorkCounters())
+    assert err.value.interval == 2
+
+
+class NonlinearAboveLimit(LinearTestModel):
+    """LinearTestModel plus (x - limit)^2 above ``limit``, a term its df/dx
+    leaves out: one Newton update solves a stage only below the limit."""
+
+    def __init__(self, limit):
+        super().__init__(-0.5)
+        self.limit = limit
+
+    def f_batch(self, x, u, d):
+        return super().f_batch(x, u, d) + np.maximum(x - self.limit, 0.0)**2
+
+
+@pytest.mark.parametrize("mode", list(SensitivityMode), ids=lambda m: m.value)
+def test_newton_divergence_carries_row_and_interval(mode):
+    # only row (interval) 2 starts above the limit, so only it misses the
+    # bound of one Newton iteration
+    model, tab = NonlinearAboveLimit(10.0), make_tableau("ESDIRK23")
+    newton = NewtonSettings(max_iterations=1)
+    x_starts = np.array([[1.0], [2.0], [20.0], [3.0]])
+    with pytest.raises(NewtonDivergence) as err:
+        integrate_intervals_batch(model, tab, newton, mode, x_starts,
+                                  np.zeros((4, 1)), None, 1.0, 2,
+                                  WorkCounters())
+    assert err.value.batch_row == 2
+    problem = OcpProblem(
+        model=model, x0=x_starts[0], Ts=1.0, Nc=4, N=2, Qz=np.eye(1),
+        Qdu=np.eye(1), u_min=np.zeros(1), u_max=np.ones(1),
+        setpoint=SetpointSwitch(np.zeros(1), np.zeros(1), 2.0),
+        u_prev=np.zeros(1), d=None, tableau=tab, mode=mode, newton=newton)
+    w = DecisionVector.filled(0.0, 1, 1, problem.Nc)
+    w.X[:-1] = x_starts[1:]
+    with pytest.raises(EvaluationError) as err:
+        evaluate(problem, w, WorkCounters())
+    assert isinstance(err.value.cause, NewtonDivergence)
     assert err.value.interval == 2
 
 

@@ -47,37 +47,42 @@ def test_unknown_method():
 
 
 def test_svp_esdirk12_closed_form():
-    t = make_tableau("ESDIRK12")
-    rng = np.random.default_rng(7)
-    for r in rng.uniform(0.1, 3.0, size=100):
-        c = svp_coefficients(t, r)
-        assert c.alpha[0] == pytest.approx(-r, abs=1e-12)
-        assert c.beta[0, 0] == pytest.approx(1.0 + r, abs=1e-12)
+    # the published closed forms at step-size ratio r = 1
+    c = svp_coefficients(make_tableau("ESDIRK12"))
+    assert c.alpha[0] == pytest.approx(-1.0, abs=1e-12)
+    assert c.beta[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_svp_esdirk23_closed_form():
     t = make_tableau("ESDIRK23")
-    g = t.gamma
-    rng = np.random.default_rng(8)
-    for r in rng.uniform(0.1, 3.0, size=100):
-        c = svp_coefficients(t, r)
-        alpha = np.array([r - 2 * g * r + 2 * g * r**2,
-                          (r - 2 * g * r + r**2) / (2 * g)])
-        beta = np.array([
-            [(2 * g * r**2 + r) / (2 * g - 1),
-             -(4 * g**2 * r**2 - 4 * g**2 * r + 4 * g * r - 2 * g + 1)
-             / (2 * g - 1)],
-            [(r**2 + r) / (2 * g * (2 * g - 1)),
-             -(2 * r - 2 * g - 2 * g * r + r**2 + 1) / (2 * g - 1)],
-        ])
-        assert np.allclose(c.alpha, alpha, rtol=0, atol=1e-12)
-        assert np.allclose(c.beta, beta, rtol=0, atol=1e-11)
+    g, r = t.gamma, 1.0
+    c = svp_coefficients(t)
+    alpha = np.array([r - 2 * g * r + 2 * g * r**2,
+                      (r - 2 * g * r + r**2) / (2 * g)])
+    beta = np.array([
+        [(2 * g * r**2 + r) / (2 * g - 1),
+         -(4 * g**2 * r**2 - 4 * g**2 * r + 4 * g * r - 2 * g + 1)
+         / (2 * g - 1)],
+        [(r**2 + r) / (2 * g * (2 * g - 1)),
+         -(2 * r - 2 * g - 2 * g * r + r**2 + 1) / (2 * g - 1)],
+    ])
+    assert np.allclose(c.alpha, alpha, rtol=0, atol=1e-12)
+    assert np.allclose(c.beta, beta, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_svp_computed_once_per_tableau(name):
+    t = make_tableau(name)
+    assert t.svp is t.svp
+    ref = svp_coefficients(t)
+    assert np.array_equal(t.svp.alpha, ref.alpha)
+    assert np.array_equal(t.svp.beta, ref.beta)
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_svp_constant_state_exactness(name):
     t = make_tableau(name)
-    c = svp_coefficients(t, 1.0)
+    c = svp_coefficients(t)
     x = np.array([3.5, -1.25])
     stages = [x.copy() for _ in range(t.s - 1)]
     for pred in predict_stages(c, x, stages):
@@ -88,8 +93,7 @@ def test_svp_constant_state_exactness(name):
 def test_svp_linear_extrapolation_exactness(name):
     # a polynomial of degree s-1 through the previous nodes is reproduced
     t = make_tableau(name)
-    r = 1.0
-    c = svp_coefficients(t, r)
+    c = svp_coefficients(t)
     nodes = np.concatenate(([0.0], t.c[1:]))
 
     def poly(x):
@@ -100,10 +104,4 @@ def test_svp_linear_extrapolation_exactness(name):
     stages = [np.array([poly(v)]) for v in nodes[1:]]
     preds = predict_stages(c, x_prev, stages)
     for i, pred in enumerate(preds):
-        assert pred[0] == pytest.approx(poly(1.0 + r * t.c[i + 1]), abs=1e-10)
-
-
-def test_svp_rejects_nonpositive_ratio():
-    t = make_tableau("ESDIRK23")
-    with pytest.raises(ValueError):
-        svp_coefficients(t, 0.0)
+        assert pred[0] == pytest.approx(poly(1.0 + t.c[i + 1]), abs=1e-10)

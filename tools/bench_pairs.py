@@ -10,10 +10,11 @@ checkout, the base first in even pairs and the change first in odd ones.
 The file records every run, and per workload and metric each side's
 median and quartiles, the number of pairs the change won and the bound
 from BENCHMARK.json. One traced run per side and workload (seed 1) gives
-the per-layer metrics. The sweep, `run_sweep(RunConfig())`, runs once per
-side with OPENBLAS_NUM_THREADS=1; the file holds its wall time and summed
-counters per (method, sens) pair, and every row whose counts differ
-between the sides.
+the per-layer metrics. The sweep, `run_sweep(RunConfig())`, and the
+low-tolerance experiment, `run_low_tol_experiment(RunConfig())`, run once
+per side with OPENBLAS_NUM_THREADS=1; for each the file holds the wall
+time and summed counters per (method, sens) pair, and every row whose
+counts differ between the sides.
 """
 
 import argparse
@@ -30,12 +31,14 @@ SECONDS = 35
 COUNTS = ("converged", "sqp_iters", "qp_iters", "f_evals", "jac_x_evals",
           "jac_u_evals", "lu_factorizations")
 
+#: report key -> the esdirkopt.bench function that runs the rows
+SWEEPS = {"sweep": "run_sweep", "low_tol": "run_low_tol_experiment"}
 SWEEP = """
 import json, sys, time
 sys.path.insert(0, "src")
-from esdirkopt.bench import RunConfig, run_sweep
+from esdirkopt import bench
 t = time.perf_counter()
-rows = run_sweep(RunConfig())
+rows = getattr(bench, sys.argv[1])(bench.RunConfig())
 print(json.dumps({"wall_s": time.perf_counter() - t,
                   "rows": [dict(r.as_dict(), kkt=repr(float(r.kkt)))
                            for r in rows]}))
@@ -93,10 +96,11 @@ def summarize(runs, end_to_end):
     return out
 
 
-def sweep(checkout):
+def sweep(checkout, function):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", SWEEP], cwd=checkout,
-                         env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", SWEEP, function],
+                         cwd=checkout, env=env, capture_output=True,
+                         text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -113,12 +117,22 @@ def sweep_summary(result):
             "per_pair": pairs}
 
 
+def row_label(row):
+    return f"{row['method']}/{row['sens']}/N={row['N']}"
+
+
 def moved_rows(base, change):
     """Rows whose counts differ, and the largest relative kkt change of
-    the rows whose counts agree."""
+    the rows whose counts agree. The two sides must hold the same rows in
+    the same order."""
+    labels = [[row_label(row) for row in side["rows"]]
+              for side in (base, change)]
+    if labels[0] != labels[1]:
+        raise ValueError(f"the sides' rows differ: {labels[0]} against "
+                         f"{labels[1]}")
     moved, kkt_rel = [], 0.0
     for b, c in zip(base["rows"], change["rows"]):
-        label = f"{b['method']}/{b['sens']}/N={b['N']}"
+        label = row_label(b)
         diff = {k: [b[k], c[k]] for k in COUNTS if b[k] != c[k]}
         if diff:
             moved.append(dict(row=label, **diff))
@@ -160,14 +174,16 @@ def main(argv=None):
             traced[side].pop("machine")
         report["traced"][workload] = traced
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    results = {side: sweep(path) for side, path in sides.items()}
-    moved, kkt_rel = moved_rows(results["base"], results["change"])
-    report["sweep"] = {
-        "blas_threads": 1,
-        **{side: sweep_summary(r) for side, r in results.items()},
-        "moved_rows": moved,
-        "max_kkt_rel_change_of_unmoved_rows": kkt_rel}
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for name, function in SWEEPS.items():
+        results = {side: sweep(path, function)
+                   for side, path in sides.items()}
+        moved, kkt_rel = moved_rows(results["base"], results["change"])
+        report[name] = {
+            "blas_threads": 1,
+            **{side: sweep_summary(r) for side, r in results.items()},
+            "moved_rows": moved,
+            "max_kkt_rel_change_of_unmoved_rows": kkt_rel}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 
 if __name__ == "__main__":
