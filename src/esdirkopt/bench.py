@@ -1,9 +1,11 @@
 """Benchmark harness: single solves, the N-sweep, and the low-tolerance
 experiment, with CSV/JSON statistics emission.
 
-Every run is configured by a flat RunConfig (seed-free, deterministic) and
-produces one RunStats row. The sweep solves every (method, sens, N)
-combination; non-converged runs are recorded as rows, never raised.
+Every run solves the paper's tracking experiment, fixed by the module
+constants; a flat RunConfig (seed-free, deterministic) holds what a run
+varies, and the run produces one RunStats row. The sweep solves every
+(method, sens, N) combination; non-converged runs are recorded as rows,
+never raised.
 """
 
 import json
@@ -32,6 +34,18 @@ SWEEP_FIELDS = ("method", "sens", "N")
 LOW_TOL = {"Ts": 2.0, "N": 10, "tol_sqp": 1e-6, "tol_qp": 1e-10,
            "abs": 1e-10, "rel": 1e-10}
 
+# the tracking experiment: the outputs switch setpoints at half the horizon
+# under fixed weights, pump bounds, disturbance and previous input
+QZ = np.diag([10.0, 10.0])
+QDU = np.diag([0.1, 0.1])
+U_MIN = np.zeros(2)
+U_MAX = np.full(2, 500.0)
+D = np.array([0.0, 0.0, 100.0, 100.0])
+SETPOINT_FIRST = np.array([20.0, 30.0])
+SETPOINT_SECOND = np.array([30.0, 20.0])
+U_PREV = np.full(2, 300.0)
+X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
+
 
 @dataclass
 class SetpointSwitch:
@@ -50,25 +64,13 @@ class SetpointSwitch:
 
 @dataclass
 class RunConfig:
-    """One benchmark run: solver selection plus the experiment constants."""
+    """One benchmark run: what a run varies of the tracking experiment."""
     method: str = "esdirk12"
     sens: str = "iterated"
     N: int = 10
     Ts: float = 10.0
     Nc: int = 40
-    qz: np.ndarray = field(default_factory=lambda: np.array([10.0, 10.0]))
-    qdu: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1]))
-    u_min: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    u_max: np.ndarray = field(default_factory=lambda: np.full(2, 500.0))
-    x0: np.ndarray = field(default_factory=lambda: np.array(
-        [7602.7, 11404.0, 1000.0, 1000.0]))
-    d: np.ndarray = field(default_factory=lambda: np.array(
-        [0.0, 0.0, 100.0, 100.0]))
-    setpoint_first: np.ndarray = field(
-        default_factory=lambda: np.array([20.0, 30.0]))
-    setpoint_second: np.ndarray = field(
-        default_factory=lambda: np.array([30.0, 20.0]))
-    u_prev: np.ndarray = field(default_factory=lambda: np.full(2, 300.0))
+    x0: np.ndarray = field(default_factory=X0.copy)
     init_value: float = 300.0
     tol_sqp: float = 1e-3
     tol_qp: float = 1e-8
@@ -76,7 +78,6 @@ class RunConfig:
     abs: float = 1e-8
     rel: float = 1e-8
     tau: float = 0.1
-    max_sqp_iter: int = 200
 
     def validate(self):
         if self.method not in METHODS:
@@ -85,7 +86,7 @@ class RunConfig:
         if self.sens not in SENS_MODES:
             raise ConfigError(f"sens: {self.sens!r} is not one of "
                               f"{'/'.join(SENS_MODES)}")
-        for name in ("N", "Nc", "max_sqp_iter"):
+        for name in ("N", "Nc"):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Integral)
                     or isinstance(value, bool) or value < 1):
@@ -106,34 +107,19 @@ class RunConfig:
             if getattr(self, name) > 1:
                 raise ConfigError(f"{name}: must not exceed 1, "
                                   f"got {getattr(self, name)}")
-        m = QuadrupleTank
-        for name, n in (("x0", m.n_x), ("d", m.n_d), ("qz", m.n_z),
-                        ("qdu", m.n_u), ("u_min", m.n_u), ("u_max", m.n_u),
-                        ("u_prev", m.n_u), ("setpoint_first", m.n_z),
-                        ("setpoint_second", m.n_z)):
-            if np.shape(getattr(self, name)) != (n,):
-                raise ConfigError(f"{name}: expected {n} values, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("x0", "d", "u_prev", "setpoint_first",
-                     "setpoint_second", "qz", "qdu"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name}: expected finite values, "
-                                  f"got {getattr(self, name)!r}")
-        # an input may be unbounded below or above; NaN fails every test
-        lo, hi = np.asarray(self.u_min), np.asarray(self.u_max)
-        if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
-            raise ConfigError(f"u_min, u_max: need u_min <= u_max, "
-                              f"u_min < inf and u_max > -inf, got {lo!r} "
-                              f"and {hi!r}")
-        for name in ("qz", "qdu"):
-            if not np.all(np.asarray(getattr(self, name)) >= 0):
-                raise ConfigError(f"{name}: weights must be nonnegative, "
-                                  f"got {getattr(self, name)!r}")
+        if np.shape(self.x0) != (QuadrupleTank.n_x,) \
+                or not np.all(np.isfinite(self.x0)):
+            raise ConfigError(f"x0: expected {QuadrupleTank.n_x} finite "
+                              f"values, got {self.x0!r}")
         return self
 
     @property
     def mode(self):
         return SensitivityMode(self.sens)
+
+
+#: the keys of a config file or mapping
+CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 @dataclass
@@ -172,22 +158,18 @@ def _fmt(value):
 
 
 def make_problem(config):
-    """Build the OcpProblem for a validated RunConfig."""
+    """Build the OcpProblem of a validated RunConfig, with its own copies
+    of the experiment's arrays."""
     config.validate()
     return OcpProblem(
         model=QuadrupleTank(),
-        x0=np.asarray(config.x0, float),
+        x0=np.array(config.x0, float),
         Ts=config.Ts, Nc=config.Nc, N=config.N,
-        Qz=np.diag(np.asarray(config.qz, float)),
-        Qdu=np.diag(np.asarray(config.qdu, float)),
-        u_min=np.asarray(config.u_min, float),
-        u_max=np.asarray(config.u_max, float),
+        Qz=QZ.copy(), Qdu=QDU.copy(), u_min=U_MIN.copy(), u_max=U_MAX.copy(),
         # switch at half the horizon
-        setpoint=SetpointSwitch(np.asarray(config.setpoint_first, float),
-                                np.asarray(config.setpoint_second, float),
+        setpoint=SetpointSwitch(SETPOINT_FIRST.copy(), SETPOINT_SECOND.copy(),
                                 config.Ts * config.Nc / 2.0),
-        u_prev=np.asarray(config.u_prev, float),
-        d=np.asarray(config.d, float),
+        u_prev=U_PREV.copy(), d=D.copy(),
         tableau=make_tableau(config.method),
         mode=config.mode,
         newton=NewtonSettings(tau=config.tau, abs=config.abs,
@@ -196,8 +178,7 @@ def make_problem(config):
 
 def sqp_settings(config):
     return SqpSettings(tol_kkt=config.tol_sqp, tol_qp=config.tol_qp,
-                       tol_step=config.tol_step,
-                       max_sqp_iter=config.max_sqp_iter)
+                       tol_step=config.tol_step)
 
 
 def run_single(config, out_dir=None):
@@ -271,10 +252,11 @@ def _collect(rows, row_sink):
     return stats
 
 
-def run_low_tol_experiment(base_config, jobs=1):
-    """Short control interval, tight tolerances, all method/sens pairs."""
+def run_low_tol_experiment(base_config, jobs=1, row_sink=None):
+    """Short control interval, tight tolerances, all method/sens pairs;
+    row_sink as for run_sweep."""
     return run_sweep(replace(base_config, **LOW_TOL), n_list=(LOW_TOL["N"],),
-                     jobs=jobs)
+                     jobs=jobs, row_sink=row_sink)
 
 
 def stats_to_csv(stats, include_walltime=True):
@@ -361,7 +343,7 @@ def parse_config_file(path):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if not hasattr(RunConfig(), key):
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(text, path, lineno)
     return values
@@ -384,10 +366,7 @@ def _parse_value(text, path, lineno):
 
 def config_from(values):
     """RunConfig from a plain mapping, validating field names."""
-    cfg = RunConfig()
-    for key, value in values.items():
-        if not hasattr(cfg, key):
+    for key in values:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values).validate()

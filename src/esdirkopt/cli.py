@@ -89,25 +89,44 @@ def config_from_args(args):
     return config_from(values)
 
 
-def _emit(stats, args):
+def _emit(stats, args, stdout=True):
     include_walltime = not args.no_walltime
     render = stats_to_csv if args.format == "csv" else stats_to_json
-    sys.stdout.write(render(stats, include_walltime))
+    if stdout:
+        sys.stdout.write(render(stats, include_walltime))
     if args.out:
         emit_report(stats, args.out, args.format, include_walltime)
 
 
-#: the rows each run command produces from its RunConfig
+#: the rows each run command produces from its RunConfig; a sweep passes
+#: each row to the sink as soon as it is solved
 RUNNERS = {
-    "solve": lambda config, args: [run_single(config, out_dir=args.out)],
-    "sweep": lambda config, args: run_sweep(config, jobs=args.jobs),
-    "lowtol": lambda config, args: run_low_tol_experiment(config,
-                                                          jobs=args.jobs),
+    "solve": lambda config, args, sink: [
+        run_single(config, out_dir=args.out)],
+    "sweep": lambda config, args, sink: run_sweep(
+        config, jobs=args.jobs, row_sink=sink),
+    "lowtol": lambda config, args, sink: run_low_tol_experiment(
+        config, jobs=args.jobs, row_sink=sink),
 }
 
 
 def cmd_run(args):
-    _emit(RUNNERS[args.command](config_from_args(args), args), args)
+    """Solve the command's rows. CSV rows that reach the sink go to stdout
+    at once, the header before the first; JSON waits for all rows."""
+    include_walltime = not args.no_walltime
+    streamed = False
+
+    def stream(row):
+        nonlocal streamed
+        # the one-row table, without its header after the first row
+        text = stats_to_csv([row], include_walltime)
+        sys.stdout.write(text.partition("\n")[2] if streamed else text)
+        sys.stdout.flush()
+        streamed = True
+
+    sink = stream if args.format == "csv" else None
+    stats = RUNNERS[args.command](config_from_args(args), args, sink)
+    _emit(stats, args, stdout=not streamed)
     return 0
 
 

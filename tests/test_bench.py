@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 
 from esdirkopt import bench
 from esdirkopt.bench import (COLUMNS, RunConfig, RunStats, config_from,
-                             emit_report, parse_config_file, run_single,
-                             run_sweep, stats_from_json, stats_to_csv,
+                             emit_report, make_problem, parse_config_file,
+                             run_low_tol_experiment, run_single, run_sweep,
+                             sqp_settings, stats_from_json, stats_to_csv,
                              stats_to_json)
-from esdirkopt.cli import main
+from esdirkopt.cli import RUN_FLAGS, main
 from esdirkopt.errors import ConfigError
+from esdirkopt.nlp import DecisionVector
 from esdirkopt.sensitivity import SensitivityMode
+from esdirkopt.sqp import solve_ocp
 
 
 def quick_config(**kwargs):
@@ -34,16 +38,39 @@ def test_config_validation():
         RunConfig(Ts=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(tol_sqp=-1.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(u_min=np.array([600.0, 0.0])).validate()
-    for bound in (np.inf, -np.inf):
-        with pytest.raises(ConfigError):
-            RunConfig(u_min=np.full(2, bound),
-                      u_max=np.full(2, bound)).validate()
-    for name in ("N", "Nc", "max_sqp_iter", "Ts", "init_value", "tau"):
+    for name in ("N", "Nc", "Ts", "init_value", "tau"):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: True}).validate()
     assert RunConfig().validate() is not None
+
+
+def test_config_fields_are_what_a_run_varies():
+    # a flag sets each field, or the benchmark perturbs it (x0, init_value)
+    flagged = {name for _, name, _, _ in RUN_FLAGS}
+    assert {f.name for f in fields(RunConfig)} \
+        == flagged | {"x0", "init_value"}
+    assert np.array_equal(RunConfig().x0, bench.X0)
+    assert RunConfig().x0 is not bench.X0
+
+
+def test_problems_do_not_share_the_experiment_constants():
+    config = RunConfig(Nc=4)
+    first = make_problem(config)
+    constants = {"x0": bench.X0, "Qz": bench.QZ, "Qdu": bench.QDU,
+                 "u_min": bench.U_MIN, "u_max": bench.U_MAX,
+                 "u_prev": bench.U_PREV, "d": bench.D}
+    for name in constants:
+        getattr(first, name)[...] = -np.inf
+    first.setpoint.first[...] = first.setpoint.second[...] = np.nan
+    config.x0[...] = 0.0
+    second = make_problem(RunConfig(Nc=4))
+    for name, value in constants.items():
+        assert np.array_equal(getattr(second, name), value), name
+    assert np.array_equal(second.u_min, [0.0, 0.0])
+    assert np.array_equal(second.setpoint.first, bench.SETPOINT_FIRST)
+    assert np.array_equal(second.setpoint.second, bench.SETPOINT_SECOND)
+    assert np.array_equal(second.setpoint([0.0, 30.0]), [[20.0, 30.0],
+                                                         [30.0, 20.0]])
 
 
 def test_mode_property():
@@ -60,16 +87,17 @@ def test_config_file_parsing(tmp_path):
         "N = 7\n"
         "Ts = 5.0\n"
         "\n"
-        "qz = [10.0, 20.0]\n"
+        "x0 = [7000.0, 11000.0, 1000.0, 1000.0]\n"
         "sens = direct\n")
     values = parse_config_file(str(path))
     assert values["method"] == "esdirk34"
     assert values["N"] == 7 and isinstance(values["N"], int)
     assert values["Ts"] == 5.0
-    assert np.array_equal(values["qz"], [10.0, 20.0])
+    assert np.array_equal(values["x0"], [7000.0, 11000.0, 1000.0, 1000.0])
     config = config_from(values)
     assert config.method == "esdirk34"
     assert config.sens == "direct"
+    assert np.array_equal(config.x0, values["x0"])
 
 
 def test_config_file_errors(tmp_path):
@@ -80,7 +108,7 @@ def test_config_file_errors(tmp_path):
     bad.write_text("steps = 5\n")          # the field is named N
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_file(str(bad))
-    bad.write_text("qz = [10.0, oops]\n")
+    bad.write_text("x0 = [10.0, oops]\n")
     with pytest.raises(ConfigError, match="bad array"):
         parse_config_file(str(bad))
     with pytest.raises(ConfigError, match="cannot read"):
@@ -90,8 +118,10 @@ def test_config_file_errors(tmp_path):
 def test_config_from_type_checks():
     with pytest.raises(ConfigError, match="expected integer"):
         config_from({"N": 2.5})
-    with pytest.raises(ConfigError, match="unknown config field"):
-        config_from({"banana": 1})
+    # a key must name a field, not a method or property
+    for key in ("banana", "mode", "validate", "qz"):
+        with pytest.raises(ConfigError, match="unknown config field"):
+            config_from({key: 1})
     assert config_from({"N": 3}).N == 3
 
 
@@ -121,9 +151,12 @@ def test_run_single_writes_trajectory(tmp_path):
     assert len(lines) == config.Nc + 1
 
 
-def test_sweep_covers_grid_and_keeps_failures():
+def test_sweep_covers_grid_and_keeps_failures(monkeypatch):
     # a one-iteration budget cannot converge: rows must still come out
-    stats = run_sweep(quick_config(max_sqp_iter=1), n_list=(1, 2))
+    settings = bench.sqp_settings
+    monkeypatch.setattr(bench, "sqp_settings", lambda config: replace(
+        settings(config), max_sqp_iter=1))
+    stats = run_sweep(quick_config(), n_list=(1, 2))
     assert [(s.method, s.sens, s.N) for s in stats] == [
         (m, sens, n) for m in ("esdirk12", "esdirk23", "esdirk34")
         for sens in ("iterated", "direct", "base") for n in (1, 2)]
@@ -146,6 +179,32 @@ def test_sweep_streams_rows_as_solved(monkeypatch):
     assert [s.N for s in rows] == [1, 2, 3] * 9
     assert events == [(event, n) for n in [1, 2, 3] * 9
                       for event in ("solved", "sink")]
+
+
+@pytest.mark.parametrize("command, runner", [
+    ("sweep", run_sweep), ("lowtol", run_low_tol_experiment)])
+def test_cli_streams_csv_rows_as_solved(monkeypatch, capsys, command,
+                                        runner):
+    # each solve starts after the row before it reached stdout
+    seen = []
+
+    def solve(config):
+        seen.append(capsys.readouterr().out)
+        return RunStats(config.method, config.sens, config.N, True, 1, 1,
+                        0.5, 1, 1, 1, 1, 0.25)
+
+    monkeypatch.setattr(bench, "run_single", solve)
+    rows = runner(RunConfig(Nc=1))
+    seen.clear()
+    assert main([command, "--nc", "1"]) == 0
+    seen.append(capsys.readouterr().out)
+    lines = stats_to_csv(rows).splitlines(keepends=True)
+    assert seen == ["", lines[0] + lines[1]] + lines[2:]
+    # JSON is written once all rows are in
+    seen.clear()
+    assert main([command, "--nc", "1", "--format", "json"]) == 0
+    assert seen == [""] * len(rows)
+    assert capsys.readouterr().out == stats_to_json(rows)
 
 
 def test_stats_csv_format():
@@ -217,12 +276,12 @@ def test_cli_config_file_with_override(tmp_path, capsys):
     assert row[2] == "2"                   # the flag overrides the file
 
 
-def test_cli_solves_unbounded_inputs(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("Nc = 6\nN = 2\nu_min = [-inf, -inf]\n")
-    assert main(["solve", "--config", str(cfg)]) == 0
-    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
-    assert row[COLUMNS.index("converged")] == "true"
+def test_cli_solves_unbounded_inputs():
+    config = RunConfig(Nc=6, N=2)
+    problem = replace(make_problem(config), u_min=np.full(2, -np.inf))
+    result = solve_ocp(problem, sqp_settings(config),
+                       DecisionVector.filled(config.init_value, 4, 2, 6))
+    assert result.converged
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -303,6 +362,8 @@ def test_run_sweep_rejects_worker_counts_below_one():
             run_sweep(quick_config(), jobs=jobs)
 
 
+# a key for a constant of the experiment, or for a method or property of
+# RunConfig, is an unknown key
 @pytest.mark.parametrize("line", [
     "Ts = abc", "tol_qp = [1, 2]", "tau = 2.0", "tol_step = 2.0",
     "max_sqp_iter = 0",
@@ -312,19 +373,25 @@ def test_run_sweep_rejects_worker_counts_below_one():
     "x0 = [nan, 1, 1, 1]", "d = [0, 0, inf, 100]", "u_prev = [300, nan]",
     "setpoint_first = [-inf, 30]", "setpoint_second = [30, nan]",
     "u_max = [nan, 500]", "u_min = [nan, 0]", "qz = [inf, 10]",
-    "qdu = [inf, 0.1]"])
+    "qdu = [inf, 0.1]", "mode = iterated", "validate = 1"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert main(["solve", "--config", str(cfg)]) == 2
-    assert line.split()[0] in capsys.readouterr().err
+    key, err = line.split()[0], capsys.readouterr().err
+    assert f"{key}:" in err or f"unknown key {key!r}" in err
 
 
-def test_bench_pairs_compares_matching_rows_only():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_compares_matching_rows_only():
+    bench_pairs = load_bench_pairs()
 
     def row(method, N, sqp_iters, kkt):
         return dict(dict.fromkeys(bench_pairs.COUNTS, 0), method=method,
@@ -341,3 +408,25 @@ def test_bench_pairs_compares_matching_rows_only():
                  [row("esdirk23", 5, 7, 1e-4), change["rows"][1]]):
         with pytest.raises(ValueError):
             bench_pairs.moved_rows(base, {"rows": rows})
+
+
+def test_bench_pairs_names_failing_and_diverging_runs():
+    bench_pairs = load_bench_pairs()
+
+    def run(seed, correct, digest):
+        return {"seed": seed, "correct": correct, "digest": digest}
+
+    # the change runs first in odd pairs; seeds are named, not pair indices
+    runs = [{"pair": 0, "base": run(1, True, "a"),
+             "change": run(1, True, "a")},
+            {"pair": 1, "change": run(2, False, "b"),
+             "base": run(2, False, "b")},
+            {"pair": 2, "base": run(3, True, "c"),
+             "change": run(3, False, "d")},
+            {"pair": 3, "change": run(4, True, "e"),
+             "base": run(4, True, "f")}]
+    assert bench_pairs.runs_to_check(runs) == {
+        "incorrect": {"base": [2], "change": [2, 3]},
+        "digest_differs": [3, 4]}
+    assert bench_pairs.runs_to_check(runs[:1]) == {
+        "incorrect": {"base": [], "change": []}, "digest_differs": []}

@@ -203,8 +203,8 @@ def test_kkt_violation_infinite_bound():
     # term, and the other bound's term still counts
     values = []
     for lb0 in (-np.inf, -1e300):
-        problem = make_problem(small_config(Nc=6,
-                                            u_min=np.array([lb0, 0.0])))
+        problem = replace(make_problem(small_config(Nc=6)),
+                          u_min=np.array([lb0, 0.0]))
         w = DecisionVector.filled(300.0, 4, 2, 6)
         ev = evaluate(problem, w, WorkCounters())
         mu, side = np.zeros(12), np.zeros(12, dtype=int)
@@ -220,8 +220,8 @@ def test_kkt_violation_reads_the_bound_from_the_working_set(held, wrong_sign):
     # bound it holds, not against the opposite, infinite one
     bound = {-1: "u_min", 1: "u_max"}[held]
     other = {-1: "u_max", 1: "u_min"}[held]
-    config = small_config(Nc=6, **{other: np.array([-held * np.inf] * 2)})
-    problem = make_problem(config)
+    problem = replace(make_problem(small_config(Nc=6)),
+                      **{other: np.array([-held * np.inf] * 2)})
     w = DecisionVector.filled(300.0, 4, 2, 6)
     w.U[0, 0] = getattr(problem, bound)[0] - held * 1e-3
     ev = evaluate(problem, w, WorkCounters())

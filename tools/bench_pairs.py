@@ -9,8 +9,10 @@ workload, each of the ten pairs i runs
 checkout, the base first in even pairs and the change first in odd ones.
 The file records every run, and per workload and metric each side's
 median and quartiles, the number of pairs the change won and the bound
-from BENCHMARK.json. One traced run per side and workload (seed 1) gives
-the per-layer metrics. The sweep, `run_sweep(RunConfig())`, and the
+from BENCHMARK.json. It also names, per workload, the seeds whose run
+printed `correct: false` on each side and the seeds whose work digest
+differs between the sides. One traced run per side and workload (seed 1)
+gives the per-layer metrics. The sweep, `run_sweep(RunConfig())`, and the
 low-tolerance experiment, `run_low_tol_experiment(RunConfig())`, run once
 per side with OPENBLAS_NUM_THREADS=1; for each the file holds the wall
 time and summed counters per (method, sens) pair, and every row whose
@@ -96,6 +98,18 @@ def summarize(runs, end_to_end):
     return out
 
 
+def runs_to_check(runs):
+    """The seeds whose run printed correct: false, per side, and the seeds
+    whose work digest differs between the sides."""
+    sides = ("base", "change")
+    return {"incorrect": {side: [r[side]["seed"] for r in runs
+                                 if not r[side]["correct"]]
+                          for side in sides},
+            "digest_differs": [r["base"]["seed"] for r in runs
+                               if r["base"]["digest"]
+                               != r["change"]["digest"]]}
+
+
 def sweep(checkout, function):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", SWEEP, function],
@@ -167,7 +181,8 @@ def main(argv=None):
                       file=sys.stderr)
             runs.append(run)
         report["workloads"][workload] = {
-            "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
+            "summary": summarize(runs, spec["end_to_end"]),
+            "check": runs_to_check(runs), "runs": runs}
         traced = {}
         for side, path in sides.items():
             traced[side] = perfbench(path, workload, 1, 1)
