@@ -9,8 +9,11 @@ iteration matrix strategy (``strategy_of``): the base case takes a fresh
 Jacobian and factorization at every Newton iterate, every other mode one
 factorization of M_k = I - h*gamma*df/dx(x_k) per step. Each stage is
 differentiated as it is solved (see ``sensitivity``), so a step returns
-just its converged stages and their sensitivities. Work counters track
-every model evaluation and factorization exactly, row by row.
+just its converged stages and their sensitivities. Work counters count,
+row by row, the model evaluations and factorizations each mode needs
+(the README's "Counted work" table). Direct's Jacobian call at the last
+stage also computes df/dx, which no later stage reads; only its df/du is
+counted.
 """
 
 import enum
@@ -94,9 +97,15 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
     fixed ESDIRK steps. Sensitivities start at (I, 0) and are chained
     through the steps; stage value predictors warm-start every step after
     the first. The rows are independent: each makes the Newton iterations,
-    and adds to the counters the work, that it would make alone. Requires an
-    autonomous model (see ``model.OdeModel``); raises on the first row that
-    diverges, leaves the model domain or meets a singular iteration matrix.
+    and adds to the counters the work, that it would make alone. Raises on
+    the first row that diverges, leaves the model domain or meets a
+    singular iteration matrix.
+
+    The model is autonomous, with ``n_x`` states and ``n_u`` inputs, and
+    provides ``f_batch(x, u, d)``, f over a (B, n_x) stack of states with
+    (B, n_u) inputs; ``jacobians_batch(x)``, the (B, n_x, n_x) df/dx and
+    the df/du, which may be one (n_x, n_u) matrix shared by the batch; and
+    ``output_matrix()``, the constant C of the outputs z = C x.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -127,6 +136,7 @@ def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
     batch of one row. The models are autonomous, so only t_f - t_0 matters.
     ``strategy`` is checked, not used: it must be ``strategy_of(mode)``.
     """
+    # the benchmark's ivp workload passes ``strategy``, which is why it stays
     if strategy is not strategy_of(mode):
         raise ContractViolation(f"{mode.value} runs with the "
                                 f"{strategy_of(mode).value} strategy")

@@ -74,6 +74,8 @@ def lu_solve_batch(f, b):
 
 def lu_factorize(a):
     """lu_factorize_batch of a single square matrix."""
+    # nothing in the package calls this or lu_solve; the benchmark's tracer
+    # patches both by name, which is why they stay
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")

@@ -1,4 +1,4 @@
-"""ODE models: the quadruple tank system and analytic linear test models."""
+"""The paper's quadruple tank system, evaluated over a batch of states."""
 
 import numpy as np
 
@@ -6,33 +6,6 @@ from .errors import DomainError
 
 #: masses below this are treated as empty tanks (zero outflow)
 MASS_CLAMP = 1e-9
-
-
-class OdeModel:
-    """Interface for autonomous models dx/dt = f(x, u, d), evaluated over a
-    batch of B states at once, with linear output z = C x."""
-
-    n_x = 0
-    n_u = 0
-    n_d = 0
-    n_z = 0
-
-    def f_batch(self, x, u, d):
-        """f over a (B, n_x) stack of states with per-row inputs (B, n_u)."""
-        raise NotImplementedError
-
-    def jacobians_batch(self, x):
-        """(df/dx, df/du) over a (B, n_x) stack of states.
-
-        df/du may be a single (n_x, n_u) matrix when it does not depend
-        on the state.
-        """
-        raise NotImplementedError
-
-    def output_matrix(self):
-        """The constant matrix C with z = C x."""
-        raise NotImplementedError
-
 
 #: the paper's quadruple tank (cgs units): outlet areas a_i [cm^2], tank
 #: cross sections A_i [cm^2], valve splits gamma_1, gamma_2, density rho
@@ -64,13 +37,11 @@ def _check_domain(x):
         raise exc
 
 
-class QuadrupleTank(OdeModel):
+class QuadrupleTank:
     """Four interconnected tanks, two pump inputs, two level outputs."""
 
     n_x = 4
     n_u = 2
-    n_d = 4
-    n_z = 2
 
     def f_batch(self, x, u, d):
         """Mass balances of the four tanks [g/s] over a (B, 4) stack of
@@ -109,41 +80,3 @@ class QuadrupleTank(OdeModel):
         c[0, 0] = 1.0 / (RHO * TANK_AREA[0])
         c[1, 1] = 1.0 / (RHO * TANK_AREA[1])
         return c
-
-
-class LinearTestModel(OdeModel):
-    """Scalar dx/dt = lam*x + u + forcing with closed-form flow and sensitivities."""
-
-    n_x = 1
-    n_u = 1
-    n_d = 0
-    n_z = 1
-
-    def __init__(self, lam, forcing=0.0):
-        self.lam = lam
-        self.forcing = forcing
-
-    def f_batch(self, x, u, d):
-        return self.lam * x + u + self.forcing
-
-    def jacobians_batch(self, x):
-        return np.full((x.shape[0], 1, 1), float(self.lam)), np.ones((1, 1))
-
-    def output_matrix(self):
-        return np.array([[1.0]])
-
-    def exact_state(self, t, x0, u):
-        lam = self.lam
-        drive = u + self.forcing
-        if lam == 0.0:
-            return x0 + t * drive
-        e = np.exp(lam * t)
-        return e * x0 + (e - 1.0) * drive / lam
-
-    def exact_sensitivities(self, t):
-        """(dx(t)/dx0, dx(t)/du) of the exact flow."""
-        lam = self.lam
-        e = np.exp(lam * t)
-        dxdu = t if lam == 0.0 else (e - 1.0) / lam
-        return e, dxdu
-

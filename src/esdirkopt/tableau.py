@@ -5,8 +5,9 @@ coefficient gamma on the remaining diagonal, and stiff accuracy (the last
 stage row equals the advancing weights, so the step result is the last
 stage). Coefficients not determined by that structure are fixed by the
 order conditions; the ESDIRK34 entries below are the double-precision
-solution of the full order-3/order-4 condition system with gamma the root
-of x^3 - 3x^2 + 3x/2 - 1/6 near 0.43587.
+solution of its order-3 conditions and the order-4 conditions of the
+embedded method it was designed with (whose weights no run reads), with
+gamma the root of x^3 - 3x^2 + 3x/2 - 1/6 near 0.43587.
 """
 
 from dataclasses import dataclass
@@ -19,10 +20,7 @@ _GAMMA34 = 0.43586652150845899
 # remaining ESDIRK34 coefficients, frozen from the order-condition solve
 _A31 = 0.14073777472470617
 _A32 = -0.10836555138132080
-_C3 = 0.46823874485184437
 _B34 = (0.10239940061991098, -0.37687845225555608, 0.83861253012718610)
-_BH34 = (0.15702489786032493, 0.11733044137043892,
-         0.61667803039212143, 0.10896663037711471)
 
 METHODS = ("ESDIRK12", "ESDIRK23", "ESDIRK34")
 
@@ -33,11 +31,8 @@ class ButcherTableau:
     s: int
     a: np.ndarray
     b: np.ndarray
-    b_hat: np.ndarray
     c: np.ndarray
     gamma: float
-    advancing_order: int
-    embedded_order: int
 
     @cached_property
     def svp(self):
@@ -60,19 +55,13 @@ def make_tableau(method):
         a = np.array([[0.0, 0.0],
                       [0.0, gamma]])
         b = np.array([0.0, gamma])
-        b_hat = np.array([0.5, 0.5])
-        orders = (1, 2)
     elif name == "ESDIRK23":
         gamma = 1.0 - np.sqrt(2.0) / 2.0
         b1 = (1.0 - gamma) / 2.0
-        bh2 = 1.0 / (12.0 * gamma * (1.0 - 2.0 * gamma))
-        bh3 = 0.5 - 2.0 * gamma * bh2
         a = np.array([[0.0, 0.0, 0.0],
                       [gamma, gamma, 0.0],
                       [b1, b1, gamma]])
         b = np.array([b1, b1, gamma])
-        b_hat = np.array([1.0 - bh2 - bh3, bh2, bh3])
-        orders = (2, 3)
     elif name == "ESDIRK34":
         gamma = _GAMMA34
         a = np.array([[0.0, 0.0, 0.0, 0.0],
@@ -80,46 +69,10 @@ def make_tableau(method):
                       [_A31, _A32, gamma, 0.0],
                       [*_B34, gamma]])
         b = np.array([*_B34, gamma])
-        b_hat = np.array(_BH34)
-        orders = (3, 4)
     else:
         raise ValueError(f"unknown ESDIRK method: {method!r}")
     c = a.sum(axis=1)
-    return ButcherTableau(name=name, s=len(b), a=a, b=b, b_hat=b_hat, c=c,
-                          gamma=gamma, advancing_order=orders[0],
-                          embedded_order=orders[1])
-
-
-def order_condition_residuals(a, b, c, p):
-    """Residuals of the rooted-tree order conditions through order p."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    res = [b.sum() - 1.0]
-    if p >= 2:
-        res.append(b @ c - 0.5)
-    if p >= 3:
-        res.append(b @ c**2 - 1.0 / 3.0)
-        res.append(b @ (a @ c) - 1.0 / 6.0)
-    if p >= 4:
-        ac = a @ c
-        res.append(b @ c**3 - 0.25)
-        res.append(b @ (c * ac) - 0.125)
-        res.append(b @ (a @ c**2) - 1.0 / 12.0)
-        res.append(b @ (a @ ac) - 1.0 / 24.0)
-    return np.array(res)
-
-
-def verify_order_conditions(t, p, weights=None, tol=1e-12):
-    """True iff the order conditions through order p hold for (a, weights, c).
-
-    ``weights`` defaults to the advancing weights b; pass t.b_hat to check
-    the embedded method.
-    """
-    if not 1 <= p <= 4:
-        raise ValueError(f"order p must be in 1..4, got {p}")
-    w = t.b if weights is None else weights
-    return bool(np.abs(order_condition_residuals(t.a, w, t.c, p)).max() <= tol)
+    return ButcherTableau(name=name, s=len(b), a=a, b=b, c=c, gamma=gamma)
 
 
 def svp_coefficients(t):

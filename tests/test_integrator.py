@@ -6,9 +6,10 @@ from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
                                   integrate_intervals_batch, strategy_of)
-from esdirkopt.model import LinearTestModel, QuadrupleTank
+from esdirkopt.model import QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
+from references import LinearTestModel
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
@@ -150,9 +151,13 @@ def test_frozen_terminal_state_esdirk23(mode):
 def test_counter_identities_reuse(method):
     n_steps = 10
     counters, counts = step_qts(method, SensitivityMode.ITERATED, n_steps)
+    s = make_tableau(method).s
     assert counters.lu_factorizations == n_steps
     newton = counts.sum()
     assert counters.newton_iterations == newton
+    # f at the step start, and once per Newton round: one round per
+    # iterate plus the round that finds each implicit stage converged
+    assert counters.f_evals == n_steps * s + newton
     # one Jacobian pair at the step start plus one pair per Newton iterate
     assert counters.jac_x_evals == n_steps + newton
     assert counters.jac_u_evals == n_steps + newton
@@ -171,6 +176,9 @@ def test_counter_identities_refactorize(method):
     assert counters.lu_factorizations == newton + n_steps * (s - 1)
     # step-start Jacobian, one per iteration, one per stage at convergence
     assert counters.jac_x_evals == n_steps + newton + n_steps * (s - 1)
+    # df/du at the step start and at each converged stage, not per iterate
+    assert counters.jac_u_evals == n_steps * s
+    assert counters.f_evals == n_steps * s + newton
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
@@ -179,6 +187,7 @@ def test_counter_identities_direct(method):
     counters, counts = step_qts(method, SensitivityMode.DIRECT, n_steps)
     s = make_tableau(method).s
     assert counters.newton_iterations == counts.sum()
+    assert counters.f_evals == n_steps * s + counts.sum()
     # direct mode adds no factorizations beyond the one per step
     assert counters.lu_factorizations == n_steps
     # Jacobians: step start plus fresh ones at converged stages 2..s-1

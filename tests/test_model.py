@@ -3,7 +3,8 @@ import pytest
 
 from esdirkopt.errors import DomainError
 from esdirkopt.model import (G, MASS_CLAMP, OUTLET_AREA, RHO, TANK_AREA,
-                             VALVE_SPLIT, LinearTestModel, QuadrupleTank)
+                             VALVE_SPLIT, QuadrupleTank)
+from references import LinearTestModel
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])

@@ -9,11 +9,12 @@ from esdirkopt.errors import (EvaluationError, NewtonDivergence,
 from esdirkopt.integrator import (NewtonSettings, WorkCounters,
                                   integrate_interval,
                                   integrate_intervals_batch, strategy_of)
-from esdirkopt.model import LinearTestModel, QuadrupleTank
+from esdirkopt.model import QuadrupleTank
 from esdirkopt.nlp import (DecisionVector, OcpProblem,
                            constraint_jacobian_transpose_times, evaluate)
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
+from references import LinearTestModel
 
 
 # switching at half of a 400 s horizon

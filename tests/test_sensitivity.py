@@ -3,9 +3,10 @@ import pytest
 
 from esdirkopt.integrator import (NewtonSettings, WorkCounters,
                                   integrate_interval, strategy_of)
-from esdirkopt.model import LinearTestModel, QuadrupleTank
+from esdirkopt.model import QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode, fd_sensitivity_oracle
 from esdirkopt.tableau import make_tableau
+from references import LinearTestModel
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from esdirkopt.tableau import (make_tableau, order_condition_residuals,
-                               predict_stages, svp_coefficients,
-                               verify_order_conditions)
+from esdirkopt.tableau import make_tableau, predict_stages, svp_coefficients
+from references import order_condition_residuals
 
 METHODS = ("ESDIRK12", "ESDIRK23", "ESDIRK34")
 ORDERS = {"ESDIRK12": 1, "ESDIRK23": 2, "ESDIRK34": 3}
-EMBEDDED = {"ESDIRK12": 2, "ESDIRK23": 3, "ESDIRK34": 4}
 GAMMAS = {"ESDIRK12": 1.0,
           "ESDIRK23": 1.0 - np.sqrt(2.0) / 2.0,
           "ESDIRK34": 0.43586652150845899}
@@ -30,9 +28,8 @@ def test_structure(name):
 @pytest.mark.parametrize("name", METHODS)
 def test_order_conditions(name):
     t = make_tableau(name)
-    assert verify_order_conditions(t, ORDERS[name], tol=1e-12)
-    assert verify_order_conditions(t, EMBEDDED[name], weights=t.b_hat,
-                                   tol=1e-12)
+    res = order_condition_residuals(t.a, t.b, t.c, ORDERS[name])
+    assert np.abs(res).max() <= 1e-12
 
 
 def test_esdirk34_not_order_four():
