@@ -17,6 +17,7 @@ counted.
 """
 
 import enum
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,10 +45,14 @@ class NewtonSettings:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.abs <= 0 or self.rel <= 0:
+        # written so that NaN fails the test
+        if not (self.abs > 0 and self.rel > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or isinstance(self.max_iterations, bool)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer of at "
+                             "least 1")
 
 
 @dataclass
@@ -164,7 +169,9 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
     value predictors extend, or None for the trivial predictor X_i^0 = x_k.
     A row leaves the Newton loop of a stage as soon as its scaled residual
     is below tau, after at least one update however good its predictor.
-    The stage sensitivities are propagated next to the states.
+    The stage sensitivities are propagated next to the states. A round in
+    which every row still iterates indexes the arrays through views; only
+    after the first row leaves does it gather the rest.
 
     Returns ``(stages, stage_sens)``: the converged stages X_2..X_s and
     their packed sensitivities, two lists of s - 1 arrays whose last
@@ -205,38 +212,42 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
     stages = []
     stage_sens = []
     d_vals = []                      # packed dF_j = df/dx S_j + [0 | df/du]
+    ha = h * tab.a
     for idx in range(s - 1):
         i = idx + 2                      # 1-based stage index
-        psi_i = x_k.copy()
-        for j in range(i - 1):
-            psi_i += h * tab.a[i - 1, j] * f_vals[j]
+        psi_i = x_k + ha[i - 1, 0] * f_vals[0]
+        for j in range(1, i - 1):
+            psi_i += ha[i - 1, j] * f_vals[j]
         d_vals.append(jx_i @ sens_i)         # of the previous stage
         d_vals[-1][:, :, n_x:] += ju_i
-        dpsi_i = sens_k.copy()
-        for j in range(i - 1):
-            dpsi_i += h * tab.a[i - 1, j] * d_vals[j]
+        dpsi_i = sens_k + ha[i - 1, 0] * d_vals[0]
+        for j in range(1, i - 1):
+            dpsi_i += ha[i - 1, j] * d_vals[j]
         x_it = predictions[idx].copy()
         f_conv = np.empty_like(x_k)
+        # ``active`` numbers the still-iterating rows for the counters and
+        # the errors; ``rows`` indexes the arrays by them
         active = np.arange(nb)
+        rows = slice(None)
         if iterated:
             sens_it = sens_predictions[idx].copy()
             jx_conv = np.empty((nb, n_x, n_x))
             ju_conv = np.empty((nb, n_x, n_u))
         for l in range(settings.max_iterations + 1):
-            xa = x_it[active]
+            xa = x_it[rows]
             try:
-                fa = model.f_batch(xa, u[active], d)
+                fa = model.f_batch(xa, u[rows], d)
             except DomainError as exc:
                 raise _remap_batch_row(exc, active)
             counters.f_evals += active.size
-            r = xa - hg * fa - psi_i[active]
+            r = xa - hg * fa - psi_i[rows]
             if l:
                 denom = np.maximum(settings.abs, settings.rel * np.abs(xa))
-                done = np.max(np.abs(r) / denom, axis=1) < settings.tau
+                done = (np.abs(r) / denom).max(axis=1) < settings.tau
                 if done.any():
                     f_conv[active[done]] = fa[done]
                     keep = ~done
-                    active = active[keep]
+                    active = rows = active[keep]
                     if not active.size:
                         break
                     r = r[keep]
@@ -249,7 +260,7 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                     raise exc
             if iterated or not reuse:
                 try:
-                    jx_it, ju_it = model.jacobians_batch(x_it[active])
+                    jx_it, ju_it = model.jacobians_batch(x_it[rows])
                     counters.jac_x_evals += active.size
                     if not reuse:
                         fac = linalg.lu_factorize_batch(eye - hg * jx_it)
@@ -257,14 +268,14 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                 except (DomainError, SingularMatrix) as exc:
                     raise _remap_batch_row(exc, active)
             if reuse:
-                fac = factors[active]
-            x_it[active] -= linalg.lu_solve_batch(fac, r)
+                fac = factors[rows]
+            x_it[rows] -= linalg.lu_solve_batch(fac, r)
             if iterated:
                 counters.jac_u_evals += active.size
-                sens_it[active] = iterated_propagate(
-                    sens_it[active], jx_it, ju_it, dpsi_i[active], fac, hg)
-                jx_conv[active] = jx_it
-                ju_conv[active] = ju_it
+                sens_it[rows] = iterated_propagate(
+                    sens_it[rows], jx_it, ju_it, dpsi_i[rows], fac, hg)
+                jx_conv[rows] = jx_it
+                ju_conv[rows] = ju_it
             counters.newton_iterations += active.size
 
         stages.append(x_it)

@@ -27,6 +27,16 @@ DF_DQ = np.array([[-1.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, -1.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0]])
 
+# factors of f and its Jacobians, each formed by the same expression as in
+# the formulas so that every product rounds as it would written out
+_RHO_A = RHO * TANK_AREA
+_TWO_G = 2.0 * G
+_DQ_SCALE = OUTLET_AREA * G / _RHO_A
+_RHO_DF_DQ = RHO * DF_DQ
+#: df/du, one read-only (4, 2) matrix shared by every caller
+_DF_DU = RHO * PUMP_SPLIT.T
+_DF_DU.flags.writeable = False
+
 
 def _check_domain(x):
     """Raise DomainError naming the first batch row with a negative mass."""
@@ -52,7 +62,7 @@ class QuadrupleTank:
         """
         _check_domain(x)
         xc = np.where(x < MASS_CLAMP, 0.0, x)
-        q = OUTLET_AREA * np.sqrt(2.0 * G * xc / (RHO * TANK_AREA))
+        q = OUTLET_AREA * np.sqrt(_TWO_G * xc / _RHO_A)
         f = u @ PUMP_SPLIT
         f[:, :2] += q[:, 2:]             # tanks 3 and 4 drain into 1 and 2
         f += d
@@ -63,16 +73,16 @@ class QuadrupleTank:
     def jacobians_batch(self, x):
         """Analytic (df/dx, df/du) for a (B, 4) stack of states.
 
-        df/du does not depend on the state, so a single (4, 2) matrix is
-        returned for the whole batch.
+        df/du does not depend on the state, so a single read-only (4, 2)
+        matrix is returned for the whole batch.
         """
         _check_domain(x)
         live = x >= MASS_CLAMP
         # dq_i/dx_i; zero for clamped (empty) tanks
-        dq = np.where(live, OUTLET_AREA * G / (RHO * TANK_AREA) / np.sqrt(
-            2.0 * G * np.where(live, x, 1.0) / (RHO * TANK_AREA)), 0.0)
-        jx = dq[:, None, :] * (RHO * DF_DQ)
-        return jx, RHO * PUMP_SPLIT.T
+        dq = np.where(live, _DQ_SCALE / np.sqrt(
+            _TWO_G * np.where(live, x, 1.0) / _RHO_A), 0.0)
+        jx = dq[:, None, :] * _RHO_DF_DQ
+        return jx, _DF_DU
 
     def output_matrix(self):
         """The constant matrix C with z = C x."""

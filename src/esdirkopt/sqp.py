@@ -25,7 +25,9 @@ class SqpSettings:
     max_sqp_iter: int = 200
 
     def __post_init__(self):
-        if min(self.tol_kkt, self.tol_qp, self.tol_step) <= 0:
+        # written so that NaN fails the test
+        if not all(tol > 0 for tol in (self.tol_kkt, self.tol_qp,
+                                       self.tol_step)):
             raise ValueError("tolerances must be positive")
         # the line search tries alpha = 1 first: a larger tol_step tries none
         if self.tol_step > 1:
