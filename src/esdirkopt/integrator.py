@@ -46,8 +46,8 @@ class NewtonSettings:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         # written so that NaN fails the test
-        if not (self.abs > 0 and self.rel > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.abs, self.rel)):
+            raise ValueError("tolerances must be positive and finite")
         if (not isinstance(self.max_iterations, numbers.Integral)
                 or isinstance(self.max_iterations, bool)
                 or self.max_iterations < 1):

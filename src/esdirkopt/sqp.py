@@ -1,5 +1,6 @@
 """Line-search SQP with damped BFGS updates and an l1 merit function."""
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,12 +27,18 @@ class SqpSettings:
 
     def __post_init__(self):
         # written so that NaN fails the test
-        if not all(tol > 0 for tol in (self.tol_kkt, self.tol_qp,
-                                       self.tol_step)):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.tol_kkt, self.tol_qp,
+                                                self.tol_step)):
+            raise ValueError("tolerances must be positive and finite")
         # the line search tries alpha = 1 first: a larger tol_step tries none
         if self.tol_step > 1:
             raise ValueError("tol_step must not exceed 1")
+        # the solve stops when the iteration count equals max_sqp_iter, so
+        # any other value would never stop it
+        if (not isinstance(self.max_sqp_iter, numbers.Integral)
+                or isinstance(self.max_sqp_iter, bool)
+                or self.max_sqp_iter < 0):
+            raise ValueError("max_sqp_iter must be a non-negative integer")
 
 
 @dataclass

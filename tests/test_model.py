@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from esdirkopt.errors import DomainError
-from esdirkopt.model import (G, MASS_CLAMP, OUTLET_AREA, RHO, TANK_AREA,
-                             VALVE_SPLIT, QuadrupleTank)
+from esdirkopt.model import (G, MASS_CLAMP, OUTLET_AREA, PUMP_SPLIT, RHO,
+                             TANK_AREA, VALVE_SPLIT, QuadrupleTank)
 from references import LinearTestModel
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
@@ -58,6 +58,16 @@ def test_jacobian_sparsity():
     assert np.all(jx[zero] == 0.0)
     assert np.all(np.diag(jx) < 0.0)
     assert np.all(ju >= 0.0)
+
+
+def test_shared_input_jacobian_is_read_only():
+    # every call returns the same df/du array, so a caller that wrote to it
+    # would change the next caller's
+    _, ju = TANK.jacobians_batch(X0[None])
+    with pytest.raises(ValueError):
+        ju[0, 0] = 0.0
+    _, ju = TANK.jacobians_batch(X0[None])
+    assert np.array_equal(ju, RHO * PUMP_SPLIT.T)
 
 
 def test_empty_tank_clamped():

@@ -29,6 +29,13 @@ def test_settings_validation():
         SqpSettings(tol_kkt=0.0)
     with pytest.raises(ValueError):
         SqpSettings(tol_step=0.0)
+    for name in ("tol_kkt", "tol_qp", "tol_step"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SqpSettings(**{name: value})
+    for value in (2.5, -1, True):
+        with pytest.raises(ValueError):
+            SqpSettings(max_sqp_iter=value)
     # the line search starts at alpha = 1: a larger tol_step tries no step
     with pytest.raises(ValueError):
         SqpSettings(tol_step=2.0)
