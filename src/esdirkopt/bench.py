@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .integrator import NewtonSettings
 from .model import QuadrupleTank
 from .nlp import DecisionVector, OcpProblem
@@ -72,45 +72,18 @@ class RunConfig:
     Nc: int = 40
     x0: np.ndarray = field(default_factory=X0.copy)
     init_value: float = 300.0
-    tol_sqp: float = 1e-3
-    tol_qp: float = 1e-8
-    tol_step: float = 1e-8
-    abs: float = 1e-8
-    rel: float = 1e-8
-    tau: float = 0.1
+    tol_sqp: float = SqpSettings.tol_sqp
+    tol_qp: float = SqpSettings.tol_qp
+    tol_step: float = SqpSettings.tol_step
+    abs: float = NewtonSettings.abs
+    rel: float = NewtonSettings.rel
+    tau: float = NewtonSettings.tau
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method: {self.method!r} is not one of "
-                              f"{'/'.join(METHODS)}")
-        if self.sens not in SENS_MODES:
-            raise ConfigError(f"sens: {self.sens!r} is not one of "
-                              f"{'/'.join(SENS_MODES)}")
-        for name in ("N", "Nc"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < 1):
-                raise ConfigError(f"{name}: expected integer >= 1, "
-                                  f"got {value!r}")
-        positive = ("Ts", "tol_sqp", "tol_qp", "tol_step", "abs", "rel",
-                    "tau")
-        for name in positive + ("init_value",):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real)
-                    or isinstance(value, bool) or not np.isfinite(value)):
-                raise ConfigError(f"{name}: expected a finite number, "
-                                  f"got {value!r}")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        for name in ("tau", "tol_step"):
-            if getattr(self, name) > 1:
-                raise ConfigError(f"{name}: must not exceed 1, "
-                                  f"got {getattr(self, name)}")
-        if np.shape(self.x0) != (QuadrupleTank.n_x,) \
-                or not np.all(np.isfinite(self.x0)):
-            raise ConfigError(f"x0: expected {QuadrupleTank.n_x} finite "
-                              f"values, got {self.x0!r}")
+        """This config, once make_problem and sqp_settings have checked
+        every field; a ConfigError names the first field that fails."""
+        make_problem(self)
+        sqp_settings(self)
         return self
 
     @property
@@ -158,26 +131,39 @@ def _fmt(value):
 
 
 def make_problem(config):
-    """Build the OcpProblem of a validated RunConfig, with its own copies
-    of the experiment's arrays."""
-    config.validate()
-    return OcpProblem(
+    """Build the OcpProblem of a RunConfig, with its own copies of the
+    experiment's arrays. A ConfigError names the first bad field: method,
+    sens and init_value are checked here, the others where they are used."""
+    if config.method not in METHODS:
+        raise ConfigError(f"method: {config.method!r} is not one of "
+                          f"{'/'.join(METHODS)}")
+    if config.sens not in SENS_MODES:
+        raise ConfigError(f"sens: {config.sens!r} is not one of "
+                          f"{'/'.join(SENS_MODES)}")
+    if (isinstance(config.init_value, bool)
+            or not isinstance(config.init_value, numbers.Real)
+            or not np.isfinite(config.init_value)):
+        raise ConfigError(f"init_value: expected a finite number, "
+                          f"got {config.init_value!r}")
+    problem = OcpProblem(
         model=QuadrupleTank(),
-        x0=np.array(config.x0, float),
+        x0=np.copy(config.x0),
         Ts=config.Ts, Nc=config.Nc, N=config.N,
         Qz=QZ.copy(), Qdu=QDU.copy(), u_min=U_MIN.copy(), u_max=U_MAX.copy(),
-        # switch at half the horizon
-        setpoint=SetpointSwitch(SETPOINT_FIRST.copy(), SETPOINT_SECOND.copy(),
-                                config.Ts * config.Nc / 2.0),
-        u_prev=U_PREV.copy(), d=D.copy(),
+        u_prev=U_PREV.copy(), d=D.copy(), setpoint=None,
         tableau=make_tableau(config.method),
         mode=config.mode,
         newton=NewtonSettings(tau=config.tau, abs=config.abs,
                               rel=config.rel))
+    # switch at half the horizon, once the problem has checked Ts and Nc
+    problem.setpoint = SetpointSwitch(SETPOINT_FIRST.copy(),
+                                      SETPOINT_SECOND.copy(),
+                                      config.Ts * config.Nc / 2.0)
+    return problem
 
 
 def sqp_settings(config):
-    return SqpSettings(tol_kkt=config.tol_sqp, tol_qp=config.tol_qp,
+    return SqpSettings(tol_sqp=config.tol_sqp, tol_qp=config.tol_qp,
                        tol_step=config.tol_step)
 
 
@@ -228,10 +214,10 @@ def run_sweep(base_config, n_list=SWEEP_N, jobs=1, row_sink=None):
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
-    if not isinstance(jobs, numbers.Integral) or isinstance(jobs, bool) \
-            or jobs < 1:
-        raise ConfigError(f"jobs: expected integer >= 1, got {jobs!r}")
-    points = [replace(base_config, method=m, sens=s, N=int(n))
+    check_integer("jobs", jobs, 1)
+    # int() keeps the rows' N a Python int, for the JSON report
+    points = [replace(base_config, method=m, sens=s,
+                      N=int(check_integer("N", n, 1)))
               for m in METHODS for s in SENS_MODES for n in n_list]
     for p in points:
         p.validate()

@@ -17,14 +17,13 @@ counted.
 """
 
 import enum
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import (ContractViolation, DomainError, NewtonDivergence,
-                     SingularMatrix)
+                     SingularMatrix, check_integer, check_positive)
 from .sensitivity import (SensitivityMode, SensitivityPair, direct_propagate,
                           iterated_propagate)
 from .tableau import predict_stages
@@ -43,16 +42,10 @@ class NewtonSettings:
     max_iterations: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        # written so that NaN fails the test
-        if not all(0 < tol < np.inf for tol in (self.abs, self.rel)):
-            raise ValueError("tolerances must be positive and finite")
-        if (not isinstance(self.max_iterations, numbers.Integral)
-                or isinstance(self.max_iterations, bool)
-                or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer of at "
-                             "least 1")
+        check_positive("tau", self.tau, most=1.0)
+        check_positive("abs", self.abs)
+        check_positive("rel", self.rel)
+        check_integer("max_iterations", self.max_iterations, 1)
 
 
 @dataclass
@@ -104,7 +97,7 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
     the first. The rows are independent: each makes the Newton iterations,
     and adds to the counters the work, that it would make alone. Raises on
     the first row that diverges, leaves the model domain or meets a
-    singular iteration matrix.
+    singular iteration matrix; a bad n_steps or dt is a ConfigError.
 
     The model is autonomous, with ``n_x`` states and ``n_u`` inputs, and
     provides ``f_batch(x, u, d)``, f over a (B, n_x) stack of states with
@@ -112,10 +105,8 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
     the df/du, which may be one (n_x, n_u) matrix shared by the batch; and
     ``output_matrix()``, the constant C of the outputs z = C x.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
+    check_integer("n_steps", n_steps, 1)
+    check_positive("dt", dt)
     x = np.asarray(x_0, float)
     u = np.asarray(u, float)
     h = dt / n_steps

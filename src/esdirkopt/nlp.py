@@ -20,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, EvaluationError, NewtonDivergence,
-                     SingularMatrix)
+from .errors import (ConfigError, DomainError, EvaluationError,
+                     NewtonDivergence, SingularMatrix, check_integer,
+                     check_positive)
 from .integrator import NewtonSettings, integrate_intervals_batch
 from .sensitivity import SensitivityMode
 
 
 @dataclass
 class OcpProblem:
+    """Building one checks Ts, Nc, N, x0 and the input bounds; a
+    ConfigError names the first bad field."""
     model: object
     x0: np.ndarray
     Ts: float
@@ -45,10 +48,16 @@ class OcpProblem:
     newton: NewtonSettings
 
     def __post_init__(self):
-        if self.Ts <= 0 or self.Nc < 1 or self.N < 1:
-            raise ValueError("Ts, Nc, N must be positive")
-        if np.any(self.u_min > self.u_max):
-            raise ValueError("u_min must not exceed u_max")
+        check_positive("Ts", self.Ts)
+        check_integer("Nc", self.Nc, 1)
+        check_integer("N", self.N, 1)
+        n_x = self.model.n_x
+        if np.shape(self.x0) != (n_x,) or not np.all(np.isfinite(self.x0)):
+            raise ConfigError(f"x0: expected {n_x} finite values, "
+                              f"got {self.x0!r}")
+        # written so that NaN fails the test
+        if not np.all(self.u_min <= self.u_max):
+            raise ConfigError("u_min: must not exceed u_max")
 
     @property
     def qdu_bar(self):

@@ -1,11 +1,10 @@
 """Line-search SQP with damped BFGS updates and an l1 merit function."""
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, check_positive
 from .integrator import WorkCounters
 from .nlp import DecisionVector, constraint_jacobian_transpose_times, evaluate
 from .qp import QpProblem, ShootingHessian, solve_qp
@@ -16,29 +15,20 @@ HESSIAN_REG = 1e-6        # identity shift that makes the Hessian seed definite
 HESSIAN_SEED_U = 0.04     # extra input curvature of the seed, per unit time
 BFGS_DAMPING = 0.2        # Powell damping threshold on s'y / s'Hs
 BFGS_SKIP_NORM = 1e-14    # shorter s or y leaves the BFGS matrix unchanged
+MAX_SQP_ITER = 200        # a solve that reaches it stops with IterationLimit
 
 
 @dataclass
 class SqpSettings:
-    tol_kkt: float = 1e-3
+    tol_sqp: float = 1e-3
     tol_qp: float = 1e-8
     tol_step: float = 1e-8
-    max_sqp_iter: int = 200
 
     def __post_init__(self):
-        # written so that NaN fails the test
-        if not all(0 < tol < np.inf for tol in (self.tol_kkt, self.tol_qp,
-                                                self.tol_step)):
-            raise ValueError("tolerances must be positive and finite")
+        check_positive("tol_sqp", self.tol_sqp)
+        check_positive("tol_qp", self.tol_qp)
         # the line search tries alpha = 1 first: a larger tol_step tries none
-        if self.tol_step > 1:
-            raise ValueError("tol_step must not exceed 1")
-        # the solve stops when the iteration count equals max_sqp_iter, so
-        # any other value would never stop it
-        if (not isinstance(self.max_sqp_iter, numbers.Integral)
-                or isinstance(self.max_sqp_iter, bool)
-                or self.max_sqp_iter < 0):
-            raise ValueError("max_sqp_iter must be a non-negative integer")
+        check_positive("tol_step", self.tol_step, most=1.0)
 
 
 @dataclass
@@ -197,8 +187,8 @@ def solve_ocp(problem, settings, w0, counters=None):
     none = np.zeros(w.U.size)
     kkt = kkt_violation(ev.grad, ev.c, w, problem, none, none)
     it, reason = 0, None
-    while not kkt <= settings.tol_kkt:        # a NaN residual is not converged
-        if it == settings.max_sqp_iter:
+    while not kkt <= settings.tol_sqp:        # a NaN residual is not converged
+        if it == MAX_SQP_ITER:
             reason = "IterationLimit"
             break
         it += 1

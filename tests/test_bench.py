@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esdirkopt import bench
+from esdirkopt import bench, sqp
 from esdirkopt.bench import (COLUMNS, RunConfig, RunStats, config_from,
                              emit_report, make_problem, parse_config_file,
                              run_low_tol_experiment, run_single, run_sweep,
@@ -153,16 +153,19 @@ def test_run_single_writes_trajectory(tmp_path):
 
 def test_sweep_covers_grid_and_keeps_failures(monkeypatch):
     # a one-iteration budget cannot converge: rows must still come out
-    settings = bench.sqp_settings
-    monkeypatch.setattr(bench, "sqp_settings", lambda config: replace(
-        settings(config), max_sqp_iter=1))
-    stats = run_sweep(quick_config(), n_list=(1, 2))
+    monkeypatch.setattr(sqp, "MAX_SQP_ITER", 1)
+    stats = run_sweep(quick_config(), n_list=(np.int64(1), 2))
     assert [(s.method, s.sens, s.N) for s in stats] == [
         (m, sens, n) for m in ("esdirk12", "esdirk23", "esdirk34")
         for sens in ("iterated", "direct", "base") for n in (1, 2)]
+    assert all(type(s.N) is int for s in stats)        # for the JSON report
     assert not any(s.converged for s in stats)
     with pytest.raises(ValueError):
         run_sweep(quick_config(), n_list=())
+    # an N that is no integer, or is a bool, is not truncated
+    for n in (2.5, True):
+        with pytest.raises(ConfigError, match="N"):
+            run_sweep(quick_config(), n_list=(n,))
 
 
 def test_sweep_streams_rows_as_solved(monkeypatch):
@@ -364,7 +367,10 @@ def test_run_sweep_rejects_worker_counts_below_one():
 
 # a bad value for a field names the field
 BAD_VALUE_LINES = ["Ts = abc", "tol_qp = [1, 2]", "tau = 2.0",
-                   "tol_step = 2.0", "x0 = [1, 2]", "x0 = [nan, 1, 1, 1]"]
+                   "tol_step = 2.0", "x0 = [1, 2]", "x0 = [nan, 1, 1, 1]",
+                   "method = rk4", "sens = adjoint", "N = 2.5", "Nc = 0",
+                   "init_value = nan", "tol_sqp = 0", "abs = inf",
+                   "rel = -1"]
 # a key for a constant of the experiment, or for a method or property of
 # RunConfig, is an unknown key: one case per such key
 UNKNOWN_KEY_LINES = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esdirkopt.errors import ContractViolation, NewtonDivergence
+from esdirkopt.errors import ConfigError, ContractViolation, NewtonDivergence
 from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
@@ -227,9 +227,11 @@ def test_newton_divergence():
 @pytest.mark.parametrize("kwargs", [
     {"tau": 0.0}, {"tau": 1.5}, {"abs": 0.0}, {"max_iterations": 0},
     {"abs": float("nan")}, {"rel": float("nan")}, {"max_iterations": 2.5},
-    {"max_iterations": True}, {"abs": float("inf")}, {"rel": float("inf")}])
+    {"max_iterations": True}, {"abs": float("inf")}, {"rel": float("inf")},
+    {"tau": True}, {"abs": True}, {"tau": "0.5"}])
 def test_newton_settings_validation(kwargs):
-    with pytest.raises(ValueError):
+    # the error names the field
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
         NewtonSettings(**kwargs)
 
 
@@ -249,14 +251,22 @@ def test_mode_strategy_contract():
 
 
 def test_interval_argument_validation():
-    with pytest.raises(ValueError):
-        run_qts("ESDIRK23", SensitivityMode.DIRECT, n_steps=0)
+    for n_steps in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="n_steps"):
+            run_qts("ESDIRK23", SensitivityMode.DIRECT, n_steps=n_steps)
     counters = WorkCounters()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="dt"):
         integrate_interval(QuadrupleTank(), make_tableau("ESDIRK23"),
                            NewtonStrategy.REUSE_PER_STEP, NewtonSettings(),
                            SensitivityMode.DIRECT, X0, U0, D0, 5.0, 5.0, 10,
                            counters)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="dt"):
+            integrate_intervals_batch(
+                QuadrupleTank(), make_tableau("ESDIRK23"), NewtonSettings(),
+                SensitivityMode.DIRECT, X0[None], U0[None], D0, dt, 10,
+                counters)
+    assert counters == WorkCounters()          # no work was done
 
 
 def test_warm_start_reduces_newton_work():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from esdirkopt.bench import SetpointSwitch
-from esdirkopt.errors import (EvaluationError, NewtonDivergence,
-                              SingularMatrix)
+from esdirkopt.errors import (ConfigError, EvaluationError,
+                              NewtonDivergence, SingularMatrix)
 from esdirkopt.integrator import (NewtonSettings, WorkCounters,
                                   integrate_interval,
                                   integrate_intervals_batch, strategy_of)
@@ -270,5 +270,14 @@ def test_singular_iteration_matrix_carries_interval(mode):
 
 
 def test_problem_validation():
+    assert issubclass(ConfigError, ValueError)
     with pytest.raises(ValueError):
         small_problem(Nc=0)
+    problem = small_problem()
+    # the error names the field
+    for name, value in [("Ts", float("nan")), ("Ts", "10"), ("N", 2.5),
+                        ("Nc", True), ("x0", problem.x0[:3]),
+                        ("x0", np.array([np.inf, 1.0, 1.0, 1.0])),
+                        ("u_min", np.array([np.nan, 0.0]))]:
+        with pytest.raises(ConfigError, match=name):
+            replace(problem, **{name: value})

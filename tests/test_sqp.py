@@ -8,6 +8,7 @@ from test_qp import assemble
 
 from esdirkopt import sqp
 from esdirkopt.bench import RunConfig, make_problem, sqp_settings
+from esdirkopt.errors import ConfigError
 from esdirkopt.integrator import WorkCounters
 from esdirkopt.nlp import (DecisionVector,
                            constraint_jacobian_transpose_times, evaluate)
@@ -25,19 +26,13 @@ def small_config(**kwargs):
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SqpSettings(tol_kkt=0.0)
-    with pytest.raises(ValueError):
-        SqpSettings(tol_step=0.0)
-    for name in ("tol_kkt", "tol_qp", "tol_step"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+    # the error names the field, by the name a run config uses
+    for name in ("tol_sqp", "tol_qp", "tol_step"):
+        for value in (0.0, -1.0, float("nan"), float("inf"), True, "1e-3"):
+            with pytest.raises(ConfigError, match=name):
                 SqpSettings(**{name: value})
-    for value in (2.5, -1, True):
-        with pytest.raises(ValueError):
-            SqpSettings(max_sqp_iter=value)
     # the line search starts at alpha = 1: a larger tol_step tries no step
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="tol_step"):
         SqpSettings(tol_step=2.0)
     SqpSettings(tol_step=1.0)
 
@@ -343,9 +338,9 @@ def test_counters_accumulate_across_evaluations():
 
 @pytest.mark.parametrize("settings, patches, init, iterations, reason", [
     ({}, {}, 300.0, 26, None),
-    ({"max_sqp_iter": 26}, {}, 300.0, 26, None),
-    ({"max_sqp_iter": 2}, {}, 300.0, 2, "IterationLimit"),
-    ({"max_sqp_iter": 0}, {}, 300.0, 0, "IterationLimit"),
+    ({}, {"MAX_SQP_ITER": 26}, 300.0, 26, None),
+    ({}, {"MAX_SQP_ITER": 2}, 300.0, 2, "IterationLimit"),
+    ({}, {"MAX_SQP_ITER": 0}, 300.0, 0, "IterationLimit"),
     ({}, {"solve_qp": partial(solve_qp, max_iter=0)}, 300.0, 1,
      "IterationLimit"),
     ({"tol_step": 0.99}, {"ARMIJO_C1": 0.49}, 300.0, 4,
