@@ -51,8 +51,9 @@ class OcpProblem:
         check_positive("Ts", self.Ts)
         check_integer("Nc", self.Nc, 1)
         check_integer("N", self.N, 1)
-        n_x = self.model.n_x
-        if np.shape(self.x0) != (n_x,) or not np.all(np.isfinite(self.x0)):
+        n_x, x0 = self.model.n_x, np.asarray(self.x0)
+        if (x0.shape != (n_x,) or x0.dtype.kind not in "iuf"
+                or not np.all(np.isfinite(x0))):
             raise ConfigError(f"x0: expected {n_x} finite values, "
                               f"got {self.x0!r}")
         # written so that NaN fails the test

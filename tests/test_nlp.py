@@ -278,6 +278,7 @@ def test_problem_validation():
     for name, value in [("Ts", float("nan")), ("Ts", "10"), ("N", 2.5),
                         ("Nc", True), ("x0", problem.x0[:3]),
                         ("x0", np.array([np.inf, 1.0, 1.0, 1.0])),
+                        ("x0", ["1", "2", "3", "4"]),
                         ("u_min", np.array([np.nan, 0.0]))]:
         with pytest.raises(ConfigError, match=name):
             replace(problem, **{name: value})
