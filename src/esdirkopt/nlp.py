@@ -29,8 +29,8 @@ from .sensitivity import SensitivityMode
 
 @dataclass
 class OcpProblem:
-    """Building one checks Ts, Nc, N, x0 and the input bounds; a
-    ConfigError names the first bad field."""
+    """Building one checks Ts, Nc, N, x0, the shape of every other array
+    and the input bounds; a ConfigError names the first bad field."""
     model: object
     x0: np.ndarray
     Ts: float
@@ -56,6 +56,13 @@ class OcpProblem:
                 or not np.all(np.isfinite(x0))):
             raise ConfigError(f"x0: expected {n_x} finite values, "
                               f"got {self.x0!r}")
+        n_u, n_z = self.model.n_u, len(self.model.output_matrix())
+        for name, shape in [("u_min", (n_u,)), ("u_max", (n_u,)),
+                            ("u_prev", (n_u,)), ("d", (n_x,)),
+                            ("Qz", (n_z, n_z)), ("Qdu", (n_u, n_u))]:
+            if np.shape(getattr(self, name)) != shape:
+                raise ConfigError(f"{name}: expected shape {shape}, got "
+                                  f"{np.shape(getattr(self, name))}")
         # written so that NaN fails the test
         if not np.all(self.u_min <= self.u_max):
             raise ConfigError("u_min: must not exceed u_max")

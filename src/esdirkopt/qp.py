@@ -13,6 +13,12 @@ multipliers come back as one signed vector with the same convention.
 H is a `ShootingHessian`: a seed without input-state coupling plus a
 low-rank quasi-Newton correction. It is applied to vectors and condensed
 through that structure, so no dense nw x nw matrix is formed.
+
+Both steps skip only work whose result is known: condensing does not
+multiply the zero blocks of the block lower triangular state rows of Z,
+and the active-set method does not refactorize after a full step, whose
+next step is 0. Every output keeps the bits of the method that does that
+work (the references in the tests).
 """
 
 from dataclasses import dataclass
@@ -90,6 +96,16 @@ def condense(q):
     whenever H is. With Zx the state rows of Z, L L' = Hx and P = Z'V,
     H_red = Huu + (L'Zx)'(L'Zx) + Pp Pp' - Pm Pm'. Every term is a product
     X'X, so H_red is exactly symmetric.
+
+    Zx is block lower triangular: the state after interval n depends on
+    the input steps of intervals 0..n only. The recursion
+    Zx_n = A_n Zx_(n-1) + [0 .. B_n .. 0] therefore runs, in place, over
+    the first n + 1 input blocks alone. The skipped blocks are exact zeros
+    either way, and each entry of a matrix product of two or more columns
+    is the same dot product whatever their number, so Z keeps the bits of
+    the recursion over all columns. The products R'R and Z'V still run
+    over the zero blocks, because splitting them would change their
+    summation order.
     """
     Nc, n_x, n_u = q.B.shape
     nw = Nc * (n_x + n_u)
@@ -101,23 +117,29 @@ def condense(q):
         raise ContractViolation("QP blocks do not match the shooting structure")
     # row blocks [p_u(n), p_x(n+1)] of p, as in the decision vector
     Z = np.zeros((Nc, n_u + n_x, nu))
-    Z[:, :n_u] = np.eye(nu).reshape(Nc, n_u, nu)
+    i = np.arange(nu)
+    Z[i // n_u, i % n_u, i] = 1.0
+    Zx = Z[:, n_u:]
     y0 = np.zeros((Nc, n_u + n_x))
     # state step as affine function of the input steps
-    G = np.zeros((n_x, nu))
     y = np.zeros(n_x)
     for n in range(Nc):
-        G = q.A[n] @ G
-        G.reshape(n_x, Nc, n_u)[:, n] += q.B[n]
+        k = (n + 1) * n_u
+        if n > 0:
+            np.matmul(q.A[n], Zx[n - 1, :, :k], out=Zx[n, :, :k])
+        Zx[n, :, k - n_u:k] += q.B[n]
         y = q.A[n] @ y + q.e[n] if n > 0 else q.e[n].copy()
-        Z[n, n_u:] = G
         y0[n, n_u:] = y
-    R = (np.linalg.cholesky(H.Hx).T @ Z[:, n_u:]).reshape(Nc * n_x, nu)
+    R = (np.linalg.cholesky(H.Hx).T @ Zx).reshape(Nc * n_x, nu)
     Z = Z.reshape(nw, nu)
     y0 = y0.ravel()
     Pp = Z.T @ H.Vp
     Pm = Z.T @ H.Vm
-    H_red = H.Huu + R.T @ R + Pp @ Pp.T - Pm @ Pm.T
+    # Huu + R'R + Pp Pp' - Pm Pm', left to right, summed in place
+    H_red = R.T @ R
+    H_red += H.Huu
+    H_red += Pp @ Pp.T
+    H_red -= Pm @ Pm.T
     g_red = Z.T @ (q.g + H @ y0)
     return Z, y0, H_red, g_red
 
@@ -132,7 +154,11 @@ def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, side):
     working set). The iteration count is the number of working-set
     changes plus the final optimality check. Ties in the choice of the
     dropped or the blocking bound break toward the lowest variable index.
-    Returns (q, grad, side, iterations, status); side is updated in place.
+    A full step leaves the working set unchanged, so it reaches the
+    minimizer over the free variables and the next step is 0 in exact
+    arithmetic; the iteration after it goes straight to the multiplier
+    check, with no factorization of the free block. Returns (q, grad,
+    side, iterations, status); side is updated in place.
     """
     q = np.where(side < 0, lb, np.where(side > 0, ub, 0.0))
     # bounds active at the start point must be in the working set
@@ -142,12 +168,16 @@ def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, side):
     q[at_ub] = ub[at_ub]
     side[at_lb & (lb == ub)] = -1
     iters = 0
+    full_step = False
     for _ in range(max_iter):
         grad = H @ q + g
         free = side == 0
         d = np.zeros(len(g))
-        if free.any():
-            d[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
+        # after a full step the working set is the same, so the free-block
+        # step is 0: the iteration goes straight to the multiplier check
+        if free.any() and not full_step:
+            d[free] = np.linalg.solve(H[free][:, free], -grad[free])
+        full_step = False
         if np.abs(d).max(initial=0.0) <= qp_tol:
             # multiplier check at the candidate optimum
             iters += 1
@@ -170,6 +200,7 @@ def _solve_bound_qp(H, g, lb, ub, qp_tol, max_iter, side):
             iters += 1
         else:
             q = q + d
+            full_step = True
     return q, H @ q + g, side, iters, "IterationLimit"
 
 
@@ -190,8 +221,9 @@ def solve_qp(q, qp_tol=1e-8, max_iter=500, warm_side=None):
     p = Z @ qu + y0
     gfull = (q.H @ p + q.g).reshape(Nc, n_u + n_x)
     lam = -gfull[:, n_u:]
+    At = q.A.transpose(0, 2, 1)
     for n in range(Nc - 2, -1, -1):
-        lam[n] += q.A[n + 1].T @ lam[n + 1]
+        lam[n] += At[n + 1] @ lam[n + 1]
     return QpSolution(p=p, lambda_eq=lam,
                       mu=np.where(side != 0, -rgrad, 0.0), side=side,
                       iterations=max(iters, 1), status=status)

@@ -40,7 +40,7 @@ class SqpResult:
     qp_iterations_total: int
     counters: WorkCounters
     failure_reason: str = None     # StepLengthBelowTolerance | IterationLimit
-    #                              # | EvaluationFailure
+    #                              # | EvaluationFailure | QpFailure
     objective: float = float("nan")
 
 
@@ -194,7 +194,12 @@ def solve_ocp(problem, settings, w0, counters=None):
         it += 1
         qp = QpProblem(H=H, g=ev.grad, A=ev.A, B=ev.B, e=-ev.c,
                        lb=problem.u_min - w.U, ub=problem.u_max - w.U)
-        sol = solve_qp(qp, settings.tol_qp, warm_side=side)
+        try:
+            sol = solve_qp(qp, settings.tol_qp, warm_side=side)
+        except np.linalg.LinAlgError:
+            # a singular free block or state weight ends this solve only
+            reason = "QpFailure"
+            break
         qp_total += sol.iterations
         if sol.status != "Optimal":
             reason = "IterationLimit"

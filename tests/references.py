@@ -1,8 +1,12 @@
 """References the tests check the package against: the rooted-tree order
-conditions of a Butcher tableau and a scalar linear model with a
-closed-form flow. No run of the package reads them."""
+conditions of a Butcher tableau, a scalar linear model with a
+closed-form flow, and the dense condensing of a shooting QP that
+`qp.condense` must reproduce bit for bit. No run of the package reads
+them."""
 
 import numpy as np
+
+from esdirkopt.errors import ContractViolation
 
 
 def order_condition_residuals(a, b, c, p):
@@ -58,3 +62,42 @@ class LinearTestModel:
         e = np.exp(lam * t)
         dxdu = t if lam == 0.0 else (e - 1.0) / lam
         return e, dxdu
+
+
+def reference_condense(q):
+    """Eliminate the state steps: p = Z q_u + y0 with q_u the input steps.
+
+    Returns (Z, y0, H_red, g_red) with H_red = Z'HZ positive definite
+    whenever H is. With Zx the state rows of Z, L L' = Hx and P = Z'V,
+    H_red = Huu + (L'Zx)'(L'Zx) + Pp Pp' - Pm Pm'. Every term is a product
+    X'X, so H_red is exactly symmetric.
+    """
+    Nc, n_x, n_u = q.B.shape
+    nw = Nc * (n_x + n_u)
+    nu = Nc * n_u
+    H = q.H
+    if (H.Huu.shape != (nu, nu) or H.Hx.shape != (n_x, n_x)
+            or len(H.Vp) != nw or len(H.Vm) != nw
+            or q.e.shape != (Nc, n_x)):
+        raise ContractViolation("QP blocks do not match the shooting structure")
+    # row blocks [p_u(n), p_x(n+1)] of p, as in the decision vector
+    Z = np.zeros((Nc, n_u + n_x, nu))
+    Z[:, :n_u] = np.eye(nu).reshape(Nc, n_u, nu)
+    y0 = np.zeros((Nc, n_u + n_x))
+    # state step as affine function of the input steps
+    G = np.zeros((n_x, nu))
+    y = np.zeros(n_x)
+    for n in range(Nc):
+        G = q.A[n] @ G
+        G.reshape(n_x, Nc, n_u)[:, n] += q.B[n]
+        y = q.A[n] @ y + q.e[n] if n > 0 else q.e[n].copy()
+        Z[n, n_u:] = G
+        y0[n, n_u:] = y
+    R = (np.linalg.cholesky(H.Hx).T @ Z[:, n_u:]).reshape(Nc * n_x, nu)
+    Z = Z.reshape(nw, nu)
+    y0 = y0.ravel()
+    Pp = Z.T @ H.Vp
+    Pm = Z.T @ H.Vm
+    H_red = H.Huu + R.T @ R + Pp @ Pp.T - Pm @ Pm.T
+    g_red = Z.T @ (q.g + H @ y0)
+    return Z, y0, H_red, g_red

@@ -232,7 +232,8 @@ def test_newton_divergence_carries_row_and_interval(mode):
         model=model, x0=x_starts[0], Ts=1.0, Nc=4, N=2, Qz=np.eye(1),
         Qdu=np.eye(1), u_min=np.zeros(1), u_max=np.ones(1),
         setpoint=SetpointSwitch(np.zeros(1), np.zeros(1), 2.0),
-        u_prev=np.zeros(1), d=None, tableau=tab, mode=mode, newton=newton)
+        u_prev=np.zeros(1), d=np.zeros(1), tableau=tab, mode=mode,
+        newton=newton)
     w = DecisionVector.filled(0.0, 1, 1, problem.Nc)
     w.X[:-1] = x_starts[1:]
     with pytest.raises(EvaluationError) as err:
@@ -279,6 +280,11 @@ def test_problem_validation():
                         ("Nc", True), ("x0", problem.x0[:3]),
                         ("x0", np.array([np.inf, 1.0, 1.0, 1.0])),
                         ("x0", ["1", "2", "3", "4"]),
-                        ("u_min", np.array([np.nan, 0.0]))]:
-        with pytest.raises(ConfigError, match=name):
+                        ("u_min", np.array([np.nan, 0.0])),
+                        ("u_min", np.zeros(3)), ("u_max", np.ones((2, 2))),
+                        ("u_prev", np.zeros(1)), ("d", np.zeros(2)),
+                        ("d", None), ("Qz", np.eye(3)),
+                        ("Qz", np.ones((2, 3))), ("Qdu", np.eye(1)),
+                        ("Qdu", np.zeros(2))]:
+        with pytest.raises(ConfigError, match=f"^{name}:"):
             replace(problem, **{name: value})

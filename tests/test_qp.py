@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from references import reference_condense
+
+from esdirkopt import qp
 from esdirkopt.nlp import DecisionVector
 from esdirkopt.qp import (QpProblem, ShootingHessian, _solve_bound_qp, condense,
                           solve_qp)
@@ -67,6 +70,33 @@ def test_condensed_hessian_matches_dense_product():
     np.testing.assert_allclose(H_red, Z.T @ Hdense @ Z, rtol=1e-12, atol=0)
     np.testing.assert_allclose(g_red, Z.T @ (q.g + Hdense @ y0), rtol=1e-12,
                                atol=0)
+
+
+@pytest.mark.parametrize("n_u", [2, 1])
+@pytest.mark.parametrize("k", [0, 1, 30])
+@pytest.mark.parametrize("Nc", [1, 2, 40, 160])
+def test_condense_matches_dense_reference(Nc, k, n_u):
+    # skipping the zero blocks of Z changes no bit of any output. One
+    # column (a matrix-vector product) is where forming Z'Vp and Z'Vm in
+    # one product would change bits, and one input where a recursion over
+    # the first n blocks only would.
+    rng = np.random.default_rng([Nc, k, n_u])
+    n_x = 4
+    nw, nu = Nc * (n_x + n_u), Nc * n_u
+    M = rng.standard_normal((nu, nu))
+    H = ShootingHessian(Huu=M @ M.T + nu * np.eye(nu),
+                        Hx=np.diag(rng.uniform(1.0, 2.0, n_x)),
+                        Vp=rng.standard_normal((nw, k)),
+                        Vm=0.3 * rng.standard_normal((nw, k)))
+    q = QpProblem(H=H, g=rng.standard_normal(nw),
+                  A=np.eye(n_x) + 0.1 * rng.standard_normal((Nc, n_x, n_x)),
+                  B=rng.standard_normal((Nc, n_x, n_u)),
+                  e=rng.standard_normal((Nc, n_x)),
+                  lb=-np.ones((Nc, n_u)), ub=np.ones((Nc, n_u)))
+    new, ref = condense(q), reference_condense(q)
+    for name, a, b in zip(("Z", "y0", "H_red", "g_red"), new, ref):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(new[2], new[2].T)
 
 
 def test_unconstrained_matches_dense_kkt():
@@ -238,11 +268,11 @@ def reference_solve(q, max_iter, warm_side):
             max(iters, 1), status)
 
 
-def bounded_problem(rng, kind):
-    """A random shooting QP with 12 input steps whose tight bounds activate
-    several constraints; `kind` adds fixed inputs (lb == ub), infinite
-    bounds, or bounds on or within 1e-14 of the start point 0."""
-    q = random_problem(rng, Nc=6)
+def bounded_problem(rng, kind, Nc=6):
+    """A random shooting QP with 2 Nc input steps whose tight bounds
+    activate several constraints; `kind` adds fixed inputs (lb == ub),
+    infinite bounds, or bounds on or within 1e-14 of the start point 0."""
+    q = random_problem(rng, Nc=Nc)
     q.lb = -rng.uniform(0.0, 0.5, q.lb.shape)
     q.ub = rng.uniform(0.0, 0.5, q.ub.shape)
     pick = rng.random(q.lb.shape)
@@ -259,14 +289,21 @@ def bounded_problem(rng, kind):
     return q
 
 
-@pytest.mark.parametrize("start", ["cold", "warm", "random"])
-@pytest.mark.parametrize("kind", ["tight", "fixed", "infinite", "at_start"])
-def test_solver_matches_reference(kind, start):
-    rng = np.random.default_rng(["tight", "fixed", "infinite",
-                                 "at_start"].index(kind))
+KINDS = ["tight", "fixed", "infinite", "at_start"]
+# every kind from every start at Nc = 6, and a warm-started Nc = 160
+MATCH_CASES = [(kind, start, 6) for kind in KINDS
+               for start in ("cold", "warm", "random")]
+MATCH_CASES.append(("tight", "warm", 160))
+
+
+@pytest.mark.parametrize(
+    "kind, start, Nc", MATCH_CASES,
+    ids=[f"{k}-{s}" + ("" if n == 6 else f"-Nc{n}") for k, s, n in MATCH_CASES])
+def test_solver_matches_reference(kind, start, Nc):
+    rng = np.random.default_rng(KINDS.index(kind))
     most_active = 0
     for _ in range(6):
-        q = bounded_problem(rng, kind)
+        q = bounded_problem(rng, kind, Nc)
         warm = None
         if start == "warm":
             # the working set of a nearby QP, as in the SQP iteration
@@ -309,3 +346,28 @@ def test_ties_and_full_steps_match_reference(g, side, ub0):
         assert np.array_equal(q, ref_q) and np.array_equal(grad, ref_grad)
         assert np.array_equal(new_side, to_side(working, 3))
         assert (iters, status) == (ref_iters, ref_status)
+
+
+def test_full_step_skips_the_confirming_factorization(monkeypatch):
+    # a first step that is full leaves the working set as it was, so the
+    # next free-block step is 0: the reference factorizes again to find
+    # it, the solver goes straight to the multiplier check
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((8, 8))
+    H, g = M @ M.T + 8 * np.eye(8), rng.standard_normal(8)
+    lb, ub = np.full(8, -1e3), np.full(8, 1e3)
+    solve, solves = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        solves.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(qp.np.linalg, "solve", counting_solve)
+    ref = reference_bound_qp(H, g, lb, ub, 1e-8, 500, None)
+    assert len(solves) == 2
+    solves.clear()
+    got = _solve_bound_qp(H, g, lb, ub, 1e-8, 500, np.zeros(8, dtype=int))
+    assert solves == [8]
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[2], to_side(ref[2], 8))
+    assert got[3:] == ref[3:] == (1, "Optimal")

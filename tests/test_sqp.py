@@ -7,7 +7,7 @@ from test_nlp import dense_constraint_jacobian
 from test_qp import assemble
 
 from esdirkopt import sqp
-from esdirkopt.bench import RunConfig, make_problem, sqp_settings
+from esdirkopt.bench import RunConfig, make_problem, run_sweep, sqp_settings
 from esdirkopt.errors import ConfigError
 from esdirkopt.integrator import WorkCounters
 from esdirkopt.nlp import (DecisionVector,
@@ -361,3 +361,33 @@ def test_solver_exits(monkeypatch, settings, patches, init, iterations,
     assert result.sqp_iterations == iterations
     assert result.failure_reason == reason
     assert result.converged == (reason is None)
+
+
+def test_qp_failure_ends_one_solve(monkeypatch):
+    # a linear-algebra error in the QP of iteration 2 fails that solve with
+    # its counters, and a sweep keeps such solves as failed rows
+    calls = []
+
+    def singular_second_qp(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(sqp, "solve_qp", singular_second_qp)
+    config = small_config()
+    result = solve_ocp(make_problem(config), sqp_settings(config),
+                       DecisionVector.filled(300.0, 4, 2, config.Nc))
+    assert (result.converged, result.failure_reason,
+            result.sqp_iterations) == (False, "QpFailure", 2)
+    assert result.qp_iterations_total >= 1
+    assert result.counters.f_evals > 0
+
+    def singular_qp(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sqp, "solve_qp", singular_qp)
+    rows = run_sweep(small_config(Nc=2, N=1), n_list=(1,))
+    assert len(rows) == 9
+    assert not any(row.converged for row in rows)
+    assert all(row.sqp_iters == 1 for row in rows)
