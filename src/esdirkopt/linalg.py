@@ -11,6 +11,11 @@ deterministic: each matrix of a stack gets the same result as it would
 on its own.
 """
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import DimensionError, SingularMatrix
@@ -86,3 +91,45 @@ def lu_solve(f, b):
     """lu_solve_batch with the factors of one matrix and an (n,) or (n, k)
     right-hand side."""
     return lu_solve_batch(f, np.asarray(b, dtype=float)[None])[0]
+
+
+@functools.cache
+def _blas_setter():
+    """openblas_set_num_threads_local of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = (ctypes.c_int,), ctypes.c_int
+            return fn
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0         # scopes open now, in all threads
+_blas_saved = None      # the count the outermost open scope replaced
+
+
+@contextmanager
+def blas_on_calling_thread():
+    """Run OpenBLAS on the calling thread only: an idle BLAS worker spins
+    between products this small. The count is process-wide, so only the
+    outermost open scope sets it and restores the caller's count."""
+    global _blas_depth, _blas_saved
+    setter = _blas_setter() or (lambda n: n)     # no OpenBLAS: do nothing
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = setter(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                setter(_blas_saved)

@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import EvaluationError, check_positive
 from .integrator import WorkCounters
+from .linalg import blas_on_calling_thread
 from .nlp import DecisionVector, constraint_jacobian_transpose_times, evaluate
 from .qp import QpProblem, ShootingHessian, solve_qp
 
@@ -166,6 +167,7 @@ def line_search(problem, w, ev, p, mu_merit, settings, counters):
     return None, None, None, all_failed
 
 
+@blas_on_calling_thread()
 def solve_ocp(problem, settings, w0, counters=None):
     """Solve the multiple-shooting NLP from the initial guess w0."""
     if counters is None:

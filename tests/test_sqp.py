@@ -1,21 +1,28 @@
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_nlp import dense_constraint_jacobian
 from test_qp import assemble
 
-from esdirkopt import sqp
+from esdirkopt import linalg, sqp
 from esdirkopt.bench import RunConfig, make_problem, run_sweep, sqp_settings
 from esdirkopt.errors import ConfigError
 from esdirkopt.integrator import WorkCounters
+from esdirkopt.model import QuadrupleTank
 from esdirkopt.nlp import (DecisionVector,
                            constraint_jacobian_transpose_times, evaluate)
 from esdirkopt.qp import QpProblem, ShootingHessian, condense, solve_qp
 from esdirkopt.sqp import (BFGS_DAMPING, BFGS_SKIP_NORM, HESSIAN_REG,
                            HESSIAN_SEED_U, SqpSettings, bfgs_update,
                            kkt_violation, objective_hessian, solve_ocp)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import blas_threads  # noqa: E402
 
 
 def small_config(**kwargs):
@@ -391,3 +398,79 @@ def test_qp_failure_ends_one_solve(monkeypatch):
     assert len(rows) == 9
     assert not any(row.converged for row in rows)
     assert all(row.sqp_iters == 1 for row in rows)
+
+
+class CountingTank(QuadrupleTank):
+    """The quadruple tank, recording the BLAS thread count at each f_batch
+    call; it raises RuntimeError at the call numbered ``fail_at``."""
+
+    def __init__(self, fail_at=None):
+        self.seen, self.fail_at = [], fail_at
+
+    def f_batch(self, x, u, d):
+        self.seen.append(blas_threads())
+        if len(self.seen) == self.fail_at:
+            raise RuntimeError("model failure")
+        return super().f_batch(x, u, d)
+
+
+def counting_solve(init=300.0, fail_at=None):
+    config = small_config()
+    problem = replace(make_problem(config), model=CountingTank(fail_at))
+    result = solve_ocp(problem, sqp_settings(config),
+                       DecisionVector.filled(init, 4, 2, config.Nc))
+    return result, problem.model.seen
+
+
+@pytest.fixture
+def caller_threads():
+    """Run the test with the caller's BLAS thread count set to 3, and put
+    the machine's count back after it."""
+    setter = linalg._blas_setter()
+    if setter is None or blas_threads() is None:
+        pytest.skip("no loaded OpenBLAS with openblas_set_num_threads_local "
+                    "and a thread-count getter")
+    machine = setter(3)
+    yield 3
+    setter(machine)
+
+
+def test_solve_runs_blas_on_the_calling_thread(caller_threads):
+    result, seen = counting_solve()
+    assert result.converged and seen and set(seen) == {1}
+    assert blas_threads() == caller_threads
+
+    result, _ = counting_solve(init=-1e5)
+    assert result.failure_reason == "EvaluationFailure"
+    assert blas_threads() == caller_threads
+
+    with pytest.raises(RuntimeError, match="model failure"):
+        counting_solve(fail_at=3)
+    assert blas_threads() == caller_threads
+
+    # the count is process-wide: the outermost of overlapping solves sets
+    # and restores it, whichever thread ends last
+    seen, start = [], threading.Barrier(2)
+
+    def solve():
+        start.wait()
+        seen.extend(counting_solve()[1])
+
+    threads = [threading.Thread(target=solve) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen and set(seen) == {1}
+    assert blas_threads() == caller_threads
+
+
+def test_scope_without_openblas_changes_no_result(monkeypatch):
+    active, _ = counting_solve()
+    monkeypatch.setattr(linalg, "_blas_setter", lambda: None)
+    before = blas_threads()
+    inactive, seen = counting_solve()
+    assert set(seen) == {before}          # the scope left the count alone
+    assert np.array_equal(inactive.w_star.w, active.w_star.w)
+    assert (inactive.sqp_iterations, inactive.kkt, inactive.counters) == \
+        (active.sqp_iterations, active.kkt, active.counters)

@@ -14,14 +14,16 @@ printed `correct: false` on each side and the seeds whose work digest
 differs between the sides. One traced run per side and workload (seed 1)
 gives the per-layer metrics. The sweep, `run_sweep(RunConfig())`, and the
 low-tolerance experiment, `run_low_tol_experiment(RunConfig())`, run once
-per side with OPENBLAS_NUM_THREADS=1; for each the file holds the wall
+per side at the machine's BLAS thread count; for each the file holds the
+BLAS thread count the child process read before it started, the wall
 time and summed counters per (method, sens) pair, and every row whose
-counts differ between the sides.
+counts differ between the sides. The sweep also runs once per side with
+`jobs=2`; the file holds its wall time and whether its rows, wall times
+aside, equal that side's `jobs=1` rows.
 """
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -37,20 +39,30 @@ COUNTS = ("converged", "sqp_iters", "qp_iters", "f_evals", "jac_x_evals",
 SWEEPS = {"sweep": "run_sweep", "low_tol": "run_low_tol_experiment"}
 SWEEP = """
 import json, sys, time
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", "perfbench"]
 from esdirkopt import bench
+from run import blas_threads
+threads = blas_threads()
 t = time.perf_counter()
-rows = getattr(bench, sys.argv[1])(bench.RunConfig())
-print(json.dumps({"wall_s": time.perf_counter() - t,
+rows = getattr(bench, sys.argv[1])(bench.RunConfig(), jobs=int(sys.argv[2]))
+print(json.dumps({"wall_s": time.perf_counter() - t, "blas_threads": threads,
                   "rows": [dict(r.as_dict(), kkt=repr(float(r.kkt)))
                            for r in rows]}))
 """
 
 
+def child(args, **kwargs):
+    """The stdout of a child process; its stderr ends the script if it
+    fails."""
+    out = subprocess.run(args, capture_output=True, text=True, **kwargs)
+    if out.returncode:
+        sys.exit(f"{args[0]} in {kwargs.get('cwd', '.')} ended with exit "
+                 f"code {out.returncode}:\n{out.stderr}")
+    return out.stdout
+
+
 def git(checkout, *args):
-    return subprocess.run(["git", "-C", str(checkout), *args],
-                          capture_output=True, text=True,
-                          check=True).stdout.strip()
+    return child(["git", "-C", str(checkout), *args]).strip()
 
 
 def revision(checkout):
@@ -61,13 +73,11 @@ def revision(checkout):
 
 def perfbench(checkout, workload, seed, trace):
     """The detail line and the result line of one perfbench run."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS),
-         "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-        timeout=20 * SECONDS + 300)
-    detail, result = out.stdout.strip().splitlines()[-2:]
+    out = child([sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", str(seed), "--seconds", str(SECONDS),
+                 "--trace", str(trace)],
+                cwd=checkout, timeout=20 * SECONDS + 300)
+    detail, result = out.strip().splitlines()[-2:]
     detail, result = json.loads(detail), json.loads(result)
     return {"seed": seed, "digest": detail["digest"],
             "correct": result["correct"], "machine": detail["machine"],
@@ -110,12 +120,18 @@ def runs_to_check(runs):
                                != r["change"]["digest"]]}
 
 
-def sweep(checkout, function):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", SWEEP, function],
-                         cwd=checkout, env=env, capture_output=True,
-                         text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def sweep(checkout, function, jobs=1):
+    out = child([sys.executable, "-c", SWEEP, function, str(jobs)],
+                cwd=checkout)
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def same_rows(a, b):
+    """Whether two sweeps hold the same rows, wall times aside."""
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k != "wall_time"}
+                for r in rows]
+    return strip(a["rows"]) == strip(b["rows"])
 
 
 def sweep_summary(result):
@@ -189,16 +205,25 @@ def main(argv=None):
             traced[side].pop("machine")
         report["traced"][workload] = traced
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    rows = {}
     for name, function in SWEEPS.items():
-        results = {side: sweep(path, function)
-                   for side, path in sides.items()}
+        rows[name] = results = {side: sweep(path, function)
+                                for side, path in sides.items()}
         moved, kkt_rel = moved_rows(results["base"], results["change"])
         report[name] = {
-            "blas_threads": 1,
+            "blas_threads": {side: r["blas_threads"]
+                             for side, r in results.items()},
             **{side: sweep_summary(r) for side, r in results.items()},
             "moved_rows": moved,
             "max_kkt_rel_change_of_unmoved_rows": kkt_rel}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["sweep_jobs2"] = {}
+    for side, path in sides.items():
+        result = sweep(path, SWEEPS["sweep"], jobs=2)
+        report["sweep_jobs2"][side] = {
+            "wall_s": result["wall_s"],
+            "rows_equal_jobs1": same_rows(result, rows["sweep"][side])}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 
 if __name__ == "__main__":
