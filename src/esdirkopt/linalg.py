@@ -100,26 +100,26 @@ def _blas_setter():
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh
                      if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = (ctypes.c_int,), ctypes.c_int
-            return fn
+        for path in sorted(paths):
+            fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local",
+                         None)
+            if fn is not None:      # ctypes' default: int in, int out
+                return fn
+    except OSError:         # no /proc, or a mapped file that does not load
+        pass
     return None
 
 
 _blas_lock = threading.Lock()
 _blas_depth = 0         # scopes open now, in all threads
-_blas_saved = None      # the count the outermost open scope replaced
+_blas_saved = None      # the count the first open scope replaced
 
 
 @contextmanager
 def blas_on_calling_thread():
     """Run OpenBLAS on the calling thread only: an idle BLAS worker spins
-    between products this small. The count is process-wide, so only the
-    outermost open scope sets it and restores the caller's count."""
+    between products this small. The count is process-wide, so the first
+    of overlapping scopes sets it and the last restores the caller's."""
     global _blas_depth, _blas_saved
     setter = _blas_setter() or (lambda n: n)     # no OpenBLAS: do nothing
     with _blas_lock:

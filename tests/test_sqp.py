@@ -448,8 +448,8 @@ def test_solve_runs_blas_on_the_calling_thread(caller_threads):
         counting_solve(fail_at=3)
     assert blas_threads() == caller_threads
 
-    # the count is process-wide: the outermost of overlapping solves sets
-    # and restores it, whichever thread ends last
+    # the count is process-wide: the first of two overlapping solves sets
+    # it and the last to end restores it
     seen, start = [], threading.Barrier(2)
 
     def solve():
