@@ -7,16 +7,20 @@ Newton round evaluates the model once for all rows still iterating, and a
 single interval is the batch of one row. The sensitivity mode fixes the
 iteration matrix strategy (``strategy_of``): the base case takes a fresh
 Jacobian and factorization at every Newton iterate, every other mode one
-factorization of M_k = I - h*gamma*df/dx(x_k) per step. Each stage is
-differentiated as it is solved (see ``sensitivity``), so a step returns
-just its converged stages and their sensitivities. Work counters count,
-row by row, the model evaluations and factorizations each mode needs
-(the README's "Counted work" table). Direct's Jacobian call at the last
-stage also computes df/dx, which no later stage reads; only its df/du is
-counted.
+factorization of M_k = I - h*gamma*df/dx(x_k) per step.
+
+An interval runs in two passes: the state pass (``esdirk_step``) records
+each step, and the sensitivity pass replays it (see ``sensitivity``),
+bit for bit as if each stage were differentiated as it is solved. Work
+counters count, row by row, the model evaluations and factorizations
+each mode needs (the README's "Counted work" table) where that
+interleaved algorithm does them, so a failed integration counts the
+sensitivity work it had scheduled. Direct's Jacobian at the last stage
+also computes df/dx, which no later stage reads; only its df/du counts.
 """
 
 import enum
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,19 +115,14 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
     u = np.asarray(u, float)
     h = dt / n_steps
 
-    sens = np.tile(np.eye(model.n_x, model.n_x + model.n_u), (len(x), 1, 1))
-    traj = [x]
-    step_sens = []
-    prev = None
+    steps = []
     for _ in range(n_steps):
-        stages, stage_sens = esdirk_step(model, tab, settings, mode, x, sens,
-                                         u, d, h, prev, counters)
-        prev = (x, stages, sens, stage_sens)
-        x, sens = stages[-1], stage_sens[-1]
-        traj.append(x)
-        step_sens.append(sens)
-    return IntervalResult(x_final=x, trajectory=np.stack(traj, axis=1),
-                          step_sens=step_sens)
+        steps.append(esdirk_step(model, tab, settings, mode, x, u, d, h,
+                                 steps[-1] if steps else None, counters))
+        x = steps[-1].stages[-1]
+    traj = np.stack([steps[0].x_k] + [st.stages[-1] for st in steps], axis=1)
+    return IntervalResult(x, traj,
+                          _sensitivity_pass(model, tab, mode, steps, h))
 
 
 def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
@@ -150,80 +149,62 @@ def _remap_batch_row(exc, rows):
     return exc
 
 
-def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
-                counters):
-    """One ESDIRK step of size h from the (B, n_x) states x_k.
+#: a state pass step: x_k, the converged stages, (df/dx, df/du) at x_k and
+#: M_k's factors (None for base), iterated's rounds (rows, iterates, factors)
+StepRecord = namedtuple("StepRecord", "x_k stages jacobians factors rounds")
 
-    ``sens_k`` holds the packed sensitivities at x_k, one (n_x, n_x + n_u)
-    matrix per row, and u the (B, n_u) inputs. ``prev`` is the previous
-    step's ``(x_k, stages, sens_k, stage_sens)``, which the tableau's stage
-    value predictors extend, or None for the trivial predictor X_i^0 = x_k.
-    A row leaves the Newton loop of a stage as soon as its scaled residual
-    is below tau, after at least one update however good its predictor.
-    The stage sensitivities are propagated next to the states. A round in
-    which every row still iterates indexes the arrays through views; only
-    after the first row leaves does it gather the rest.
 
-    Returns ``(stages, stage_sens)``: the converged stages X_2..X_s and
-    their packed sensitivities, two lists of s - 1 arrays whose last
-    entries are the step result by stiff accuracy. Raises DomainError,
-    NewtonDivergence or SingularMatrix with the failing row in
-    ``batch_row``.
+def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
+    """The state pass of one ESDIRK step of size h from the (B, n_x)
+    states x_k under the (B, n_u) inputs u.
+
+    ``prev`` is the previous step's record, whose stages the tableau's
+    stage value predictors extend, or None for the trivial predictor
+    X_i^0 = x_k. A row leaves the Newton loop of a stage as soon as its
+    scaled residual is below tau, after at least one update however good
+    its predictor. A round in which every row still iterates indexes the
+    arrays through views; only after the first row leaves does it gather
+    the rest. The counters include the sensitivity work to come.
+
+    Returns the StepRecord; its last stage is the step result by stiff
+    accuracy. Raises DomainError, NewtonDivergence or SingularMatrix with
+    the failing row in ``batch_row``.
     """
     s = tab.s
     hg = h * tab.gamma
     nb = x_k.shape[0]
-    n_x, n_u = model.n_x, model.n_u
-    eye = np.eye(n_x)
+    eye = np.eye(model.n_x)
     iterated = mode is SensitivityMode.ITERATED
     reuse = mode is not SensitivityMode.BASE_DIRECT
 
-    jx_k, ju_k = model.jacobians_batch(x_k)
-    counters.jac_x_evals += nb
+    jacobians = factors = None
     if reuse:
-        factors = linalg.lu_factorize_batch(eye - hg * jx_k)
+        jacobians = model.jacobians_batch(x_k)
+        counters.jac_x_evals += nb
+        factors = linalg.lu_factorize_batch(eye - hg * jacobians[0])
         counters.lu_factorizations += nb
-
-    # stage predictors (and their derivatives for the iterated mode)
-    if prev is None:
-        predictions = [x_k] * (s - 1)
-        sens_predictions = [sens_k] * (s - 1)
-    else:
-        x_prev, stages_prev, sens_prev, stage_sens_prev = prev
-        predictions = predict_stages(tab.svp, x_prev, stages_prev)
-        if iterated:
-            sens_predictions = predict_stages(tab.svp, sens_prev,
-                                              stage_sens_prev)
-
+    predictions = ([x_k] * (s - 1) if prev is None
+                   else predict_stages(tab.svp, prev.x_k, prev.stages))
     f_vals = [model.f_batch(x_k, u, d)]
+    if not reuse:                # x_k's Jacobian waits for the sensitivities
+        counters.jac_x_evals += nb
     counters.f_evals += nb
     counters.jac_u_evals += nb
-    jx_i, ju_i, sens_i = jx_k, ju_k, sens_k
 
-    stages = []
-    stage_sens = []
-    d_vals = []                      # packed dF_j = df/dx S_j + [0 | df/du]
+    stages, rounds = [], []
     ha = h * tab.a
     for idx in range(s - 1):
         i = idx + 2                      # 1-based stage index
         psi_i = x_k + ha[i - 1, 0] * f_vals[0]
         for j in range(1, i - 1):
             psi_i += ha[i - 1, j] * f_vals[j]
-        d_vals.append(jx_i @ sens_i)         # of the previous stage
-        d_vals[-1][:, :, n_x:] += ju_i
-        dpsi_i = sens_k + ha[i - 1, 0] * d_vals[0]
-        for j in range(1, i - 1):
-            dpsi_i += ha[i - 1, j] * d_vals[j]
         x_it = predictions[idx].copy()
         f_conv = np.empty_like(x_k)
         # ``active`` numbers the still-iterating rows for the counters and
         # the errors; ``rows`` indexes the arrays by them
         active = np.arange(nb)
         rows = slice(None)
-        if iterated:
-            sens_it = sens_predictions[idx].copy()
-            jx_conv = np.empty((nb, n_x, n_x))
-            ju_conv = np.empty((nb, n_x, n_u))
+        rounds.append([])
         for l in range(settings.max_iterations + 1):
             xa = x_it[rows]
             try:
@@ -249,43 +230,110 @@ def esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h, prev,
                         f"{settings.max_iterations} iterations")
                     exc.batch_row = row
                     raise exc
-            if iterated or not reuse:
-                try:
-                    jx_it, ju_it = model.jacobians_batch(x_it[rows])
-                    counters.jac_x_evals += active.size
-                    if not reuse:
-                        fac = linalg.lu_factorize_batch(eye - hg * jx_it)
-                        counters.lu_factorizations += active.size
-                except (DomainError, SingularMatrix) as exc:
-                    raise _remap_batch_row(exc, active)
             if reuse:
                 fac = factors[rows]
+                if iterated:
+                    rounds[-1].append((rows, x_it[rows].copy(), fac))
+                    counters.jac_x_evals += active.size
+                    counters.jac_u_evals += active.size
+            else:
+                try:
+                    jx_it, _ = model.jacobians_batch(x_it[rows])
+                    counters.jac_x_evals += active.size
+                    fac = linalg.lu_factorize_batch(eye - hg * jx_it)
+                    counters.lu_factorizations += active.size
+                except (DomainError, SingularMatrix) as exc:
+                    raise _remap_batch_row(exc, active)
             x_it[rows] -= linalg.lu_solve_batch(fac, r)
-            if iterated:
-                counters.jac_u_evals += active.size
-                sens_it[rows] = iterated_propagate(
-                    sens_it[rows], jx_it, ju_it, dpsi_i[rows], fac, hg)
-                jx_conv[rows] = jx_it
-                ju_conv[rows] = ju_it
             counters.newton_iterations += active.size
 
         stages.append(x_it)
         f_vals.append(f_conv)
-        if iterated:
-            # converged-stage Jacobians: each row's last Newton round
-            jx_i, ju_i, sens_i = jx_conv, ju_conv, sens_it
-        else:
-            # one Jacobian evaluation at the converged stage serves the
-            # direct and base solves; direct counts df/dx only where later
-            # stages use it
-            jx_i, ju_i = model.jacobians_batch(x_it)
+        if not iterated:
+            # the converged stage's Jacobians (and base's factors) that the
+            # sensitivities take; direct counts df/dx where later stages
+            # use it
             if not reuse or idx < s - 2:
                 counters.jac_x_evals += nb
             counters.jac_u_evals += nb
             if not reuse:
-                factors = linalg.lu_factorize_batch(eye - hg * jx_i)
                 counters.lu_factorizations += nb
-            sens_i = direct_propagate(dpsi_i, ju_i, factors, hg)
-        stage_sens.append(sens_i)
 
-    return stages, stage_sens
+    return StepRecord(x_k, stages, jacobians, factors, rounds)
+
+
+def _sensitivity_pass(model, tab, mode, steps, h):
+    """The packed sensitivities after each step, replayed from the state
+    pass's records ``steps``.
+
+    One model call takes the Jacobians at each recorded iterate for
+    iterated, at each converged stage for direct, and at each x_k and
+    converged stage for base, whose stage matrices one call factorizes.
+    A singular one raises SingularMatrix naming the interval's row.
+    """
+    s, hg, ha = tab.s, h * tab.gamma, h * tab.a
+    nb, n_x = steps[0].x_k.shape
+    iterated = mode is SensitivityMode.ITERATED
+    base = mode is SensitivityMode.BASE_DIRECT
+    if iterated:
+        points = [x for st in steps for stage in st.rounds
+                  for _, x, _ in stage]
+    else:
+        points = [x for st in steps for x in st.stages]
+        n_stage_rows = len(points) * nb
+        if base:
+            points += [st.x_k for st in steps]
+    jx, ju = model.jacobians_batch(np.concatenate(points))
+    ju = np.broadcast_to(ju, jx.shape[:1] + ju.shape[-2:])
+    if base:
+        try:
+            stage_factors = linalg.lu_factorize_batch(
+                np.eye(n_x) - hg * jx[:n_stage_rows])
+        except SingularMatrix as exc:        # name the interval's row
+            exc.batch_row %= nb
+            exc.args = (f"{exc} of the stage stack, interval row "
+                        f"{exc.batch_row}",)
+            raise
+
+    sens = np.tile(np.eye(n_x, n_x + model.n_u), (nb, 1, 1))
+    step_sens, prev, at = [], None, 0    # at: the next unread row of jx
+    for k, st in enumerate(steps):
+        if base:
+            x_rows = slice(n_stage_rows + k * nb, n_stage_rows + (k + 1) * nb)
+            jx_i, ju_i = jx[x_rows], ju[x_rows]
+        else:
+            jx_i, ju_i = st.jacobians
+        sens_k = sens_i = sens
+        if iterated:
+            sens_predictions = ([sens_k] * (s - 1) if prev is None
+                                else predict_stages(tab.svp, *prev))
+        stage_sens = []
+        d_vals = []              # packed dF_j = df/dx S_j + [0 | df/du]
+        for idx in range(s - 1):
+            d_vals.append(jx_i @ sens_i)         # of the previous stage
+            d_vals[-1][:, :, n_x:] += ju_i
+            dpsi_i = sens_k + ha[idx + 1, 0] * d_vals[0]
+            for j in range(1, idx + 1):
+                dpsi_i += ha[idx + 1, j] * d_vals[j]
+            if iterated:
+                # each row's converged-stage Jacobians: its last round's
+                sens_i = sens_predictions[idx].copy()
+                jx_i = np.empty((nb,) + jx.shape[1:])
+                ju_i = np.empty((nb,) + ju.shape[1:])
+                for rows, x, fac in st.rounds[idx]:
+                    jx_r, ju_r = jx[at:at + len(x)], ju[at:at + len(x)]
+                    at += len(x)
+                    sens_i[rows] = iterated_propagate(
+                        sens_i[rows], jx_r, ju_r, dpsi_i[rows], fac, hg)
+                    jx_i[rows] = jx_r
+                    ju_i[rows] = ju_r
+            else:
+                jx_i, ju_i = jx[at:at + nb], ju[at:at + nb]
+                fac = stage_factors[at:at + nb] if base else st.factors
+                at += nb
+                sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
+            stage_sens.append(sens_i)
+        prev = (sens_k, stage_sens)
+        sens = stage_sens[-1]
+        step_sens.append(sens)
+    return step_sens

@@ -52,8 +52,13 @@ def lu_factorize_batch(a):
             except np.linalg.LinAlgError:
                 raise _singular(row, "zero pivot") from None
         raise
-    cond = np.abs(a).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
-    ok = cond * SINGULARITY_RTOL < 1.0      # false for inf and nan too
+    abs_a, abs_inv = np.abs(a), np.abs(inv)
+    # the whole stack's bound passes every matrix; inf and nan fail it
+    if (abs_a.max(initial=0.0) * abs_inv.max(initial=0.0)
+            * SINGULARITY_RTOL < 1.0):
+        return inv
+    cond = abs_a.max(axis=(1, 2)) * abs_inv.max(axis=(1, 2))
+    ok = cond * SINGULARITY_RTOL < 1.0
     if not ok.all():
         row = int(np.argmin(ok))
         raise _singular(row, f"condition estimate {cond[row]:.3e}")

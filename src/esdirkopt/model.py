@@ -60,9 +60,11 @@ class QuadrupleTank:
         Tank outflows are q_i = a_i*sqrt(2*g*x_i/(rho*A_i)), zero for tanks
         below MASS_CLAMP (empty).
         """
-        _check_domain(x)
-        xc = np.where(x < MASS_CLAMP, 0.0, x)
-        q = OUTLET_AREA * np.sqrt(_TWO_G * xc / _RHO_A)
+        low = x < MASS_CLAMP
+        if low.any():            # else no mass is negative or clamped
+            _check_domain(x)
+            x = np.where(low, 0.0, x)
+        q = OUTLET_AREA * np.sqrt(_TWO_G * x / _RHO_A)
         f = u @ PUMP_SPLIT
         f[:, :2] += q[:, 2:]             # tanks 3 and 4 drain into 1 and 2
         f += d
@@ -76,11 +78,14 @@ class QuadrupleTank:
         df/du does not depend on the state, so a single read-only (4, 2)
         matrix is returned for the whole batch.
         """
-        _check_domain(x)
-        live = x >= MASS_CLAMP
+        live = x >= MASS_CLAMP           # false for NaN too
         # dq_i/dx_i; zero for clamped (empty) tanks
-        dq = np.where(live, _DQ_SCALE / np.sqrt(
-            _TWO_G * np.where(live, x, 1.0) / _RHO_A), 0.0)
+        if live.all():
+            dq = _DQ_SCALE / np.sqrt(_TWO_G * x / _RHO_A)
+        else:
+            _check_domain(x)
+            dq = np.where(live, _DQ_SCALE / np.sqrt(
+                _TWO_G * np.where(live, x, 1.0) / _RHO_A), 0.0)
         jx = dq[:, None, :] * _RHO_DF_DQ
         return jx, _DF_DU
 

@@ -2,13 +2,14 @@
 
 Sensitivities are packed per batch row as one (n_x, n_x + n_u) matrix
 [d/dx0 | d/du]; ``SensitivityPair`` views its two column ranges. The
-step (``integrator.esdirk_step``) differentiates each stage as it solves
-it, from dpsi_i = S_k + sum_j h*a_ij*dF_j with dF_j = df/dx_j S_j +
-[0 | df/du_j] built once per stage next to the state's psi_i:
+integrator's sensitivity pass replays the record of its state pass step
+by step and stage by stage, from dpsi_i = S_k + sum_j h*a_ij*dF_j with
+dF_j = df/dx_j S_j + [0 | df/du_j] formed once per stage:
 
-* iterated: every Newton round of the state makes the same update on the
-  stage sensitivities of the same rows, with the same iteration matrix
-  factorization and that round's Jacobians (``iterated_propagate``).
+* iterated: every recorded Newton round of the state makes the same
+  update on the stage sensitivities of the same rows, with the same
+  iteration matrix factorization and the Jacobians at that round's
+  iterates (``iterated_propagate``).
 * direct: treats a converged stage equation as solved exactly and reads
   the stage sensitivities off the (approximate) iteration matrix of the
   step (``direct_propagate``); cheap but biased for large step sizes.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from esdirkopt.errors import ConfigError, ContractViolation, NewtonDivergence
+from esdirkopt.errors import (ConfigError, ContractViolation, DomainError,
+                              NewtonDivergence, SingularMatrix)
 from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
@@ -9,7 +10,7 @@ from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
 from esdirkopt.model import QuadrupleTank
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
-from references import LinearTestModel
+from references import LinearTestModel, interleaved_integrate
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
 U0 = np.array([300.0, 300.0])
@@ -28,28 +29,24 @@ def run_qts(method, mode, n_steps=10, settings=None, x0=X0, u=U0):
 
 
 def step_qts(method, mode, n_steps=10):
-    """run_qts stepped by hand with esdirk_step on a batch of one row.
+    """The state pass of run_qts stepped by hand with esdirk_step on a
+    batch of one row.
 
-    Checks the final state, its sensitivities and the counters against
-    run_qts, and returns the counters and the Newton iteration count of
-    every step.
+    Checks the final state and the counters against run_qts, and returns
+    the counters and the Newton iteration count of every step.
     """
     model, tab = QuadrupleTank(), make_tableau(method)
     counters = WorkCounters()
     x = X0[None]
-    sens = np.hstack((np.eye(4), np.zeros((4, 2))))[None]
-    prev, counts = None, []
+    step, counts = None, []
     for _ in range(n_steps):
         before = counters.newton_iterations
-        stages, stage_sens = esdirk_step(model, tab, NewtonSettings(), mode,
-                                         x, sens, U0[None], D0,
-                                         10.0 / n_steps, prev, counters)
-        prev = (x, stages, sens, stage_sens)
-        x, sens = stages[-1], stage_sens[-1]
+        step = esdirk_step(model, tab, NewtonSettings(), mode, x, U0[None],
+                           D0, 10.0 / n_steps, step, counters)
+        x = step.stages[-1]
         counts.append(counters.newton_iterations - before)
     reference, work = run_qts(method, mode, n_steps)
     assert np.array_equal(x[0], reference.x_final)
-    assert np.array_equal(sens[0], reference.sens.packed)
     assert counters.as_dict() == work.as_dict()
     return counters, np.array(counts)
 
@@ -60,14 +57,13 @@ def test_esdirk12_step_is_implicit_euler():
     h = 0.3
     x0 = np.array([[1.7], [-0.4], [3.0]])
     u = np.array([[0.4], [0.0], [-1.1]])
-    sens0 = np.tile(np.eye(1, 2), (3, 1, 1))
-    stages, stage_sens = esdirk_step(
-        m, make_tableau("ESDIRK12"), TIGHT, SensitivityMode.DIRECT, x0,
-        sens0, u, None, h, None, WorkCounters())
+    res = integrate_intervals_batch(
+        m, make_tableau("ESDIRK12"), TIGHT, SensitivityMode.DIRECT, x0, u,
+        None, h, 1, WorkCounters())
     exact = (x0 + h * (u + forcing)) / (1.0 - h * lam)
-    assert np.allclose(stages[-1], exact, rtol=1e-12, atol=0)
+    assert np.allclose(res.x_final, exact, rtol=1e-12, atol=0)
     # d x_1 / d(x0, u) of implicit Euler, for every row
-    assert np.allclose(stage_sens[-1],
+    assert np.allclose(res.sens.packed,
                        np.array([[[1.0, h]]]) / (1.0 - h * lam),
                        rtol=1e-14, atol=0)
 
@@ -210,8 +206,7 @@ def test_min_one_newton_iteration():
     counters = WorkCounters()
     esdirk_step(m, make_tableau("ESDIRK23"), NewtonSettings(),
                 SensitivityMode.DIRECT, np.array([[1.0], [2.0]]),
-                np.tile(np.eye(1, 2), (2, 1, 1)), np.zeros((2, 1)), None,
-                0.1, None, counters)
+                np.zeros((2, 1)), None, 0.1, None, counters)
     # exactly one update for each of the 2 rows and 2 implicit stages
     assert counters.newton_iterations == 4
 
@@ -329,12 +324,13 @@ def test_state_pass_independent_of_sensitivity_mode(method, settings):
 
 
 class CountingTank(QuadrupleTank):
-    """QuadrupleTank that counts the rows it evaluates f at and its
-    Jacobian calls."""
+    """QuadrupleTank that counts the rows it evaluates f and the Jacobians
+    at, and its Jacobian calls."""
 
     def __init__(self):
         super().__init__()
         self.f_rows = 0
+        self.jacobian_rows = 0
         self.jacobian_calls = 0
 
     def f_batch(self, x, u, d):
@@ -342,6 +338,7 @@ class CountingTank(QuadrupleTank):
         return super().f_batch(x, u, d)
 
     def jacobians_batch(self, x):
+        self.jacobian_rows += x.shape[0]
         self.jacobian_calls += 1
         return super().jacobians_batch(x)
 
@@ -349,12 +346,117 @@ class CountingTank(QuadrupleTank):
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
 @pytest.mark.parametrize("mode", list(SensitivityMode))
 def test_model_calls_match_counters(method, mode):
-    # one row: every model call evaluates exactly the work it is counted as
+    # every row a model call evaluates is counted work, and the counted
+    # work is evaluated; the sensitivity pass batches its Jacobians, so
+    # iterated and direct call the model once per step for the iteration
+    # matrix and once for the sensitivities
     model = CountingTank()
     counters = WorkCounters()
+    n_steps = 10
     integrate_interval(model, make_tableau(method), strategy_of(mode),
-                       NewtonSettings(), mode, X0, U0, D0, 0.0, 10.0, 10,
+                       NewtonSettings(), mode, X0, U0, D0, 0.0, 10.0, n_steps,
                        counters)
     assert model.f_rows == counters.f_evals
-    assert model.jacobian_calls == max(counters.jac_x_evals,
-                                       counters.jac_u_evals)
+    assert model.jacobian_rows == max(counters.jac_x_evals,
+                                      counters.jac_u_evals)
+    if mode is not SensitivityMode.BASE_DIRECT:
+        assert model.jacobian_calls == n_steps + 1
+
+
+LOOSE = NewtonSettings(tau=0.5, abs=1e-4, rel=1e-4)
+
+
+def batch_inputs(nb, seed=7):
+    rng = np.random.default_rng(seed)
+    return (X0 * (1.0 + 0.2 * rng.random((nb, 4))),
+            U0 + 40.0 * rng.standard_normal((nb, 2)))
+
+
+@pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
+@pytest.mark.parametrize("mode", list(SensitivityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("nb", [1, 7])
+@pytest.mark.parametrize("n_steps", [1, 10])
+@pytest.mark.parametrize("settings", [NewtonSettings(), LOOSE],
+                         ids=["default", "loose"])
+def test_two_passes_match_interleaved_step(method, mode, nb, n_steps,
+                                           settings):
+    # the state pass and the replayed sensitivity pass give the bits and
+    # the counts of the step that differentiates each stage as it solves it
+    x0s, us = batch_inputs(nb)
+    out = []
+    for integrate in (integrate_intervals_batch, interleaved_integrate):
+        counters = WorkCounters()
+        res = integrate(QuadrupleTank(), make_tableau(method), settings,
+                        mode, x0s, us, D0, 10.0, n_steps, counters)
+        out.append((res, counters))
+    (res, counters), (ref, ref_counters) = out
+    assert np.array_equal(res.x_final, ref.x_final)
+    assert np.array_equal(res.trajectory, ref.trajectory)
+    assert len(res.step_sens) == len(ref.step_sens) == n_steps
+    for sens, ref_sens in zip(res.step_sens, ref.step_sens):
+        assert np.array_equal(sens, ref_sens)
+    assert counters == ref_counters
+
+
+@pytest.mark.parametrize("mode", list(SensitivityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("failure", ["negative_mass", "divergence"])
+def test_two_passes_fail_like_interleaved_step(mode, failure):
+    # same exception, same row and the same counters at the raise: the
+    # state pass counts at the interleaved algorithm's points
+    x0s, us = batch_inputs(7)
+    settings = NewtonSettings()
+    if failure == "negative_mass":
+        x0s[4, 2] = -1.0
+        x0s[5, 0] = -2.0
+        expected = DomainError
+    else:
+        settings = NewtonSettings(max_iterations=1)
+        expected = NewtonDivergence
+    raised = []
+    for integrate in (integrate_intervals_batch, interleaved_integrate):
+        counters = WorkCounters()
+        with pytest.raises(expected) as err:
+            integrate(QuadrupleTank(), make_tableau("ESDIRK34"), settings,
+                      mode, x0s, us, D0, 10.0, 3, counters)
+        raised.append((err.value.batch_row, counters))
+    assert raised[0] == raised[1]
+    if failure == "negative_mass":
+        assert raised[0][0] == 4
+
+
+class SingularAtStage(LinearTestModel):
+    """Two states, x' = (1, 0): every Newton update is exact, and df/dx is
+    zero but on states whose first entry is near ``at``, where it makes
+    I - h*gamma*df/dx singular by the condition threshold."""
+
+    n_x = 2
+
+    def __init__(self, at):
+        super().__init__(0.0)
+        self.at = at
+
+    def f_batch(self, x, u, d):
+        return np.tile([1.0, 0.0], (len(x), 1))
+
+    def jacobians_batch(self, x):
+        jx = np.zeros((len(x), 2, 2))
+        jx[np.abs(x[:, 0] - self.at) < 0.05, 0, 1] = -1e16
+        return jx, np.zeros((2, 1))
+
+
+def test_deferred_singular_stage_names_interval_row():
+    # base factorizes the converged-stage matrices of all steps and stages
+    # in one stack after the state pass; row 1's last stage (x = 11) is the
+    # stack's fifth matrix, and the error names interval row 1
+    x0s = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
+    messages = []
+    for integrate in (integrate_intervals_batch, interleaved_integrate):
+        with pytest.raises(SingularMatrix) as err:
+            integrate(SingularAtStage(11.0), make_tableau("ESDIRK23"),
+                      NewtonSettings(), SensitivityMode.BASE_DIRECT, x0s,
+                      np.zeros((3, 1)), None, 1.0, 1, WorkCounters())
+        assert err.value.batch_row == 1
+        messages.append(str(err.value))
+    assert messages[0].endswith("batch row 4 of the stage stack, "
+                                "interval row 1")
+    assert messages[1].endswith("batch row 1")

@@ -114,3 +114,25 @@ def test_batch_shape_checks():
     f = lu_factorize_batch(np.tile(np.eye(3), (2, 1, 1)))
     with pytest.raises(DimensionError):
         lu_solve_batch(f, np.ones((2, 4)))
+
+
+def test_stack_bound_falls_back_to_each_matrix():
+    # max|A| * max|A^-1| over the stack is 1e16, past the threshold, but
+    # each matrix is perfectly conditioned
+    a = np.stack([1e8 * np.eye(3), 1e-8 * np.eye(3)])
+    f = lu_factorize_batch(a)
+    assert np.array_equal(f, np.linalg.inv(a))
+
+
+def test_first_of_two_singular_rows_named():
+    a = np.tile(np.eye(3), (5, 1, 1))
+    a[2, 0, 1] = a[4, 0, 1] = 1e15
+    with pytest.raises(SingularMatrix, match="batch row 2$") as err:
+        lu_factorize_batch(a)
+    assert err.value.batch_row == 2
+    for bad in (np.nan, np.inf):
+        a = np.tile(np.eye(2), (3, 1, 1))
+        a[1, 1, 0] = bad
+        with pytest.raises(SingularMatrix) as err:
+            lu_factorize_batch(a)
+        assert err.value.batch_row == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from esdirkopt.errors import DomainError
-from esdirkopt.model import (G, MASS_CLAMP, OUTLET_AREA, PUMP_SPLIT, RHO,
-                             TANK_AREA, VALVE_SPLIT, QuadrupleTank)
+from esdirkopt.model import (_DF_DU, _DQ_SCALE, _RHO_A, _RHO_DF_DQ, _TWO_G,
+                             G, MASS_CLAMP, OUTLET_AREA, PUMP_SPLIT,
+                             RHO, TANK_AREA, VALVE_SPLIT, QuadrupleTank,
+                             _check_domain)
 from references import LinearTestModel
 
 X0 = np.array([7602.7, 11404.0, 1000.0, 1000.0])
@@ -88,6 +90,62 @@ def test_negative_mass_names_row(evaluate):
     with pytest.raises(DomainError) as err:
         evaluate(xs)
     assert err.value.batch_row == 2
+
+
+def clamped_f(x, u, d):
+    """f_batch with the clamp applied to every row, as written before the
+    fast path for rows with no clamped mass."""
+    _check_domain(x)
+    xc = np.where(x < MASS_CLAMP, 0.0, x)
+    q = OUTLET_AREA * np.sqrt(_TWO_G * xc / _RHO_A)
+    f = u @ PUMP_SPLIT
+    f[:, :2] += q[:, 2:]
+    f += d
+    f -= q
+    f *= RHO
+    return f
+
+
+def clamped_jacobians(x):
+    """jacobians_batch with the clamp applied to every row."""
+    _check_domain(x)
+    live = x >= MASS_CLAMP
+    dq = np.where(live, _DQ_SCALE / np.sqrt(
+        _TWO_G * np.where(live, x, 1.0) / _RHO_A), 0.0)
+    return dq[:, None, :] * _RHO_DF_DQ, _DF_DU
+
+
+@pytest.mark.parametrize("special", [0.0, 1e-10, MASS_CLAMP, np.nan, None])
+def test_unclamped_fast_path_matches_clamped_formulas(special):
+    # a batch with no mass below the clamp skips the clamp and the domain
+    # scan; with or without one, every bit is that of the clamped formulas
+    rng = np.random.default_rng(3)
+    xs = X0 * (1.0 + 0.3 * rng.random((6, 4)))
+    if special is not None:
+        xs[2, 1] = xs[4, 3] = special
+    us = U0 + 50.0 * rng.standard_normal((6, 2))
+    assert np.array_equal(TANK.f_batch(xs, us, D0), clamped_f(xs, us, D0),
+                          equal_nan=True)
+    jx, ju = TANK.jacobians_batch(xs)
+    ref_jx, ref_ju = clamped_jacobians(xs)
+    assert np.array_equal(jx, ref_jx, equal_nan=True) and ju is ref_ju
+    for row in range(len(xs)):
+        assert np.array_equal(TANK.f_batch(xs[row:row + 1], us[row:row + 1],
+                                           D0)[0],
+                              clamped_f(xs, us, D0)[row], equal_nan=True)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda xs: TANK.f_batch(xs, np.tile(U0, (len(xs), 1)), D0),
+    lambda xs: TANK.jacobians_batch(xs)])
+def test_negative_mass_names_first_row(evaluate):
+    xs = np.tile(X0, (5, 1))
+    xs[1, 0] = MASS_CLAMP / 2.0           # clamped, not negative
+    xs[3, 2] = -1e-12
+    xs[4, 1] = -5.0
+    with pytest.raises(DomainError) as err:
+        evaluate(xs)
+    assert err.value.batch_row == 3
 
 
 def test_output_levels():
