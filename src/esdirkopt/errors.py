@@ -4,33 +4,46 @@ import math
 import numbers
 
 
-class SingularMatrix(Exception):
+class BatchRowError(Exception):
+    """A failure in one row of a batch; the message reads ``batch_row``."""
+
+    def __init__(self, detail, batch_row):
+        super().__init__(detail, batch_row)
+        self.batch_row = batch_row
+
+    def __str__(self):
+        return f"{self.args[0]} in batch row {self.batch_row}"
+
+
+class SingularMatrix(BatchRowError):
     """LU factorization hit a pivot that is zero to working precision."""
 
 
-class DimensionError(Exception):
-    """Operands have incompatible shapes."""
-
-
-class DomainError(Exception):
+class DomainError(BatchRowError):
     """Model evaluated outside its admissible region (e.g. negative mass)."""
 
 
-class NewtonDivergence(Exception):
+class NewtonDivergence(BatchRowError):
     """Stage Newton iteration hit the iteration cap without converging."""
 
 
 class ContractViolation(Exception):
-    """An internal precondition was violated (caller bug)."""
+    """An internal precondition, such as a shape, was violated (caller bug)."""
 
 
 class EvaluationError(Exception):
-    """NLP evaluation failed; carries the shooting interval index."""
+    """NLP evaluation failed on the interval of its row error ``cause``."""
 
-    def __init__(self, interval, cause):
-        super().__init__(f"evaluation failed on interval {interval}: {cause}")
-        self.interval = interval
+    def __init__(self, cause):
+        super().__init__(cause)
         self.cause = cause
+
+    @property
+    def interval(self):
+        return self.cause.batch_row
+
+    def __str__(self):
+        return f"evaluation failed on interval {self.interval}: {self.cause}"
 
 
 class ConfigError(ValueError):

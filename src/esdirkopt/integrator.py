@@ -143,12 +143,6 @@ def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
                           step_sens=[sens[0] for sens in res.step_sens])
 
 
-def _remap_batch_row(exc, rows):
-    """Translate a subset-local batch_row back to the full-batch row."""
-    exc.batch_row = int(rows[exc.batch_row])
-    return exc
-
-
 #: a state pass step: x_k, the converged stages, (df/dx, df/du) at x_k and
 #: M_k's factors (None for base), iterated's rounds (rows, iterates, factors)
 StepRecord = namedtuple("StepRecord", "x_k stages jacobians factors rounds")
@@ -167,8 +161,8 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
     the rest. The counters include the sensitivity work to come.
 
     Returns the StepRecord; its last stage is the step result by stiff
-    accuracy. Raises DomainError, NewtonDivergence or SingularMatrix with
-    the failing row in ``batch_row``.
+    accuracy. Raises a row error whose ``batch_row``, which its message
+    names, is the failing row of the full batch.
     """
     s = tab.s
     hg = h * tab.gamma
@@ -209,8 +203,9 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
             xa = x_it[rows]
             try:
                 fa = model.f_batch(xa, u[rows], d)
-            except DomainError as exc:
-                raise _remap_batch_row(exc, active)
+            except DomainError as exc:       # subset row -> full batch
+                exc.batch_row = int(active[exc.batch_row])
+                raise
             counters.f_evals += active.size
             r = xa - hg * fa - psi_i[rows]
             if l:
@@ -224,12 +219,10 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
                         break
                     r = r[keep]
                 if l == settings.max_iterations:
-                    row = int(active[0])
-                    exc = NewtonDivergence(
-                        f"stage {i}, batch row {row}: no convergence in "
-                        f"{settings.max_iterations} iterations")
-                    exc.batch_row = row
-                    raise exc
+                    raise NewtonDivergence(
+                        f"stage {i}: no convergence after "
+                        f"{settings.max_iterations} iterations",
+                        int(active[0]))
             if reuse:
                 fac = factors[rows]
                 if iterated:
@@ -243,7 +236,8 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
                     fac = linalg.lu_factorize_batch(eye - hg * jx_it)
                     counters.lu_factorizations += active.size
                 except (DomainError, SingularMatrix) as exc:
-                    raise _remap_batch_row(exc, active)
+                    exc.batch_row = int(active[exc.batch_row])
+                    raise
             x_it[rows] -= linalg.lu_solve_batch(fac, r)
             counters.newton_iterations += active.size
 
@@ -269,7 +263,7 @@ def _sensitivity_pass(model, tab, mode, steps, h):
     One model call takes the Jacobians at each recorded iterate for
     iterated, at each converged stage for direct, and at each x_k and
     converged stage for base, whose stage matrices one call factorizes.
-    A singular one raises SingularMatrix naming the interval's row.
+    A singular one raises SingularMatrix whose batch_row is the interval.
     """
     s, hg, ha = tab.s, h * tab.gamma, h * tab.a
     nb, n_x = steps[0].x_k.shape
@@ -289,10 +283,8 @@ def _sensitivity_pass(model, tab, mode, steps, h):
         try:
             stage_factors = linalg.lu_factorize_batch(
                 np.eye(n_x) - hg * jx[:n_stage_rows])
-        except SingularMatrix as exc:        # name the interval's row
+        except SingularMatrix as exc:   # stack row -> the interval's row
             exc.batch_row %= nb
-            exc.args = (f"{exc} of the stage stack, interval row "
-                        f"{exc.batch_row}",)
             raise
 
     sens = np.tile(np.eye(n_x, n_x + model.n_u), (nb, 1, 1))

@@ -15,10 +15,11 @@ import ctypes
 import functools
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrix
+from .errors import ContractViolation, SingularMatrix
 
 #: A matrix counts as singular when max|A| * max|A^-1| * SINGULARITY_RTOL
 #: reaches 1, i.e. when its condition number (in the max-entry norm) is
@@ -26,22 +27,17 @@ from .errors import DimensionError, SingularMatrix
 SINGULARITY_RTOL = 1e-14
 
 
-def _singular(row, detail):
-    exc = SingularMatrix(f"{detail} in batch row {row}")
-    exc.batch_row = row
-    return exc
-
-
 def lu_factorize_batch(a):
     """Factorize a (B, n, n) stack of square matrices into the stack of
     their inverses.
 
-    Raises SingularMatrix naming (in its message and its ``batch_row``)
-    the first row that is singular by the SINGULARITY_RTOL threshold.
+    Raises SingularMatrix whose ``batch_row`` is the first row of ``a``
+    that is singular by the SINGULARITY_RTOL threshold; a caller that
+    factorizes some rows of its batch renumbers it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionError(f"expected a (B, n, n) stack, got shape {a.shape}")
+        raise ContractViolation(f"not a (B, n, n) stack: shape {a.shape}")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -50,7 +46,7 @@ def lu_factorize_batch(a):
             try:
                 np.linalg.inv(a[row])
             except np.linalg.LinAlgError:
-                raise _singular(row, "zero pivot") from None
+                raise SingularMatrix("zero pivot", row) from None
         raise
     abs_a, abs_inv = np.abs(a), np.abs(inv)
     # the whole stack's bound passes every matrix; inf and nan fail it
@@ -61,7 +57,7 @@ def lu_factorize_batch(a):
     ok = cond * SINGULARITY_RTOL < 1.0
     if not ok.all():
         row = int(np.argmin(ok))
-        raise _singular(row, f"condition estimate {cond[row]:.3e}")
+        raise SingularMatrix(f"condition estimate {cond[row]:.3e}", row)
     return inv
 
 
@@ -75,8 +71,7 @@ def lu_solve_batch(f, b):
     b = np.asarray(b, dtype=float)
     n = f.shape[-1]
     if b.shape[1] != n:
-        raise DimensionError(f"rhs has {b.shape[1]} rows, factors are "
-                             f"{n}x{n}")
+        raise ContractViolation(f"rhs has {b.shape[1]} rows, not {n}")
     if b.ndim == 2:
         return (f @ b[:, :, None])[:, :, 0]
     return f @ b
@@ -86,10 +81,7 @@ def lu_factorize(a):
     """lu_factorize_batch of a single square matrix."""
     # nothing in the package calls this or lu_solve; the benchmark's tracer
     # patches both by name, which is why they stay
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return lu_factorize_batch(a[None])
+    return lu_factorize_batch(np.asarray(a, dtype=float)[None])
 
 
 def lu_solve(f, b):
@@ -98,14 +90,19 @@ def lu_solve(f, b):
     return lu_solve_batch(f, np.asarray(b, dtype=float)[None])[0]
 
 
+def _openblas_paths(maps):
+    """The OpenBLAS files in ``maps``, /proc/self/maps text: the sixth
+    field, spaces kept, less a deleted file's mark (the loaded name)."""
+    fields = [line.split(maxsplit=5) for line in maps.splitlines()]
+    return sorted({f[5].removesuffix(" (deleted)") for f in fields
+                   if len(f) == 6 and "openblas" in f[5].lower()})
+
+
 @functools.cache
 def _blas_setter():
     """openblas_set_num_threads_local of the loaded OpenBLAS, or None."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.lower()}
-        for path in sorted(paths):
+        for path in _openblas_paths(Path("/proc/self/maps").read_text()):
             fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local",
                          None)
             if fn is not None:      # ctypes' default: int in, int out

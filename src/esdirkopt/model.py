@@ -42,9 +42,7 @@ def _check_domain(x):
     """Raise DomainError naming the first batch row with a negative mass."""
     if x.min() < 0:
         row = int(np.argmax(np.any(x < 0, axis=1)))
-        exc = DomainError(f"negative tank mass: {x[row]}")
-        exc.batch_row = row
-        raise exc
+        raise DomainError(f"negative tank mass: {x[row]}", row)
 
 
 class QuadrupleTank:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, EvaluationError,
-                     NewtonDivergence, SingularMatrix, check_integer,
-                     check_positive)
+from .errors import (BatchRowError, ConfigError, EvaluationError,
+                     check_integer, check_positive)
 from .integrator import NewtonSettings, integrate_intervals_batch
 from .sensitivity import SensitivityMode
 
@@ -130,8 +129,8 @@ def evaluate(problem, w, counters):
         res = integrate_intervals_batch(
             m, problem.tableau, problem.newton, problem.mode, x_starts,
             w.U, problem.d, Ts, N, counters)
-    except (DomainError, NewtonDivergence, SingularMatrix) as exc:
-        raise EvaluationError(exc.batch_row, exc) from exc
+    except BatchRowError as exc:
+        raise EvaluationError(exc) from exc
 
     c = w.X - res.x_final
     grad = DecisionVector.filled(0.0, n_x, n_u, Nc)

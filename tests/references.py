@@ -12,7 +12,7 @@ from esdirkopt import linalg
 from esdirkopt.errors import (ContractViolation, DomainError,
                               NewtonDivergence, SingularMatrix,
                               check_integer, check_positive)
-from esdirkopt.integrator import IntervalResult, _remap_batch_row
+from esdirkopt.integrator import IntervalResult
 from esdirkopt.sensitivity import (SensitivityMode, direct_propagate,
                                    iterated_propagate)
 from esdirkopt.tableau import predict_stages
@@ -215,8 +215,9 @@ def interleaved_esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h,
             xa = x_it[rows]
             try:
                 fa = model.f_batch(xa, u[rows], d)
-            except DomainError as exc:
-                raise _remap_batch_row(exc, active)
+            except DomainError as exc:       # subset row -> full batch
+                exc.batch_row = int(active[exc.batch_row])
+                raise
             counters.f_evals += active.size
             r = xa - hg * fa - psi_i[rows]
             if l:
@@ -230,12 +231,10 @@ def interleaved_esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h,
                         break
                     r = r[keep]
                 if l == settings.max_iterations:
-                    row = int(active[0])
-                    exc = NewtonDivergence(
-                        f"stage {i}, batch row {row}: no convergence in "
-                        f"{settings.max_iterations} iterations")
-                    exc.batch_row = row
-                    raise exc
+                    raise NewtonDivergence(
+                        f"stage {i}: no convergence after "
+                        f"{settings.max_iterations} iterations",
+                        int(active[0]))
             if iterated or not reuse:
                 try:
                     jx_it, ju_it = model.jacobians_batch(x_it[rows])
@@ -244,7 +243,8 @@ def interleaved_esdirk_step(model, tab, settings, mode, x_k, sens_k, u, d, h,
                         fac = linalg.lu_factorize_batch(eye - hg * jx_it)
                         counters.lu_factorizations += active.size
                 except (DomainError, SingularMatrix) as exc:
-                    raise _remap_batch_row(exc, active)
+                    exc.batch_row = int(active[exc.batch_row])
+                    raise
             if reuse:
                 fac = factors[rows]
             x_it[rows] -= linalg.lu_solve_batch(fac, r)

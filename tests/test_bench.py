@@ -440,3 +440,22 @@ def test_bench_pairs_names_failing_and_diverging_runs():
         "digest_differs": [3, 4]}
     assert bench_pairs.runs_to_check(runs[:1]) == {
         "incorrect": {"base": [], "change": []}, "digest_differs": []}
+
+
+def test_bench_pairs_counts_each_sides_package_lines(tmp_path):
+    bench_pairs = load_bench_pairs()
+    sides = {}
+    for side, lines in (("base", 3), ("change", 2)):
+        checkout = tmp_path / side
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "a.py").write_text("x = 1\n" * lines)
+        (checkout / "src" / "b.py").write_text("y = 2\n")
+        (checkout / "src" / "notes.txt").write_text("not code\n" * 9)
+        for args in (["init", "-q"], ["add", "-A"],
+                     ["-c", "user.name=t", "-c", "user.email=t@t",
+                      "commit", "-q", "-m", side]):
+            bench_pairs.git(checkout, *args)
+        sides[side] = bench_pairs.revision(checkout)
+    assert [sides[s]["src_lines"] for s in ("base", "change")] == [4, 3]
+    assert not sides["base"]["dirty"]
+    assert len(sides["base"]["commit"]) == 40

@@ -7,7 +7,7 @@ from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
                                   integrate_intervals_batch, strategy_of)
-from esdirkopt.model import QuadrupleTank
+from esdirkopt.model import QuadrupleTank, _check_domain
 from esdirkopt.sensitivity import SensitivityMode
 from esdirkopt.tableau import make_tableau
 from references import LinearTestModel, interleaved_integrate
@@ -418,8 +418,9 @@ def test_two_passes_fail_like_interleaved_step(mode, failure):
         with pytest.raises(expected) as err:
             integrate(QuadrupleTank(), make_tableau("ESDIRK34"), settings,
                       mode, x0s, us, D0, 10.0, 3, counters)
-        raised.append((err.value.batch_row, counters))
+        raised.append((err.value.batch_row, str(err.value), counters))
     assert raised[0] == raised[1]
+    assert raised[0][1].endswith(f"in batch row {raised[0][0]}")
     if failure == "negative_mass":
         assert raised[0][0] == 4
 
@@ -447,7 +448,8 @@ class SingularAtStage(LinearTestModel):
 def test_deferred_singular_stage_names_interval_row():
     # base factorizes the converged-stage matrices of all steps and stages
     # in one stack after the state pass; row 1's last stage (x = 11) is the
-    # stack's fifth matrix, and the error names interval row 1
+    # stack's fifth matrix, the oracle's matrix, and the error names
+    # interval row 1
     x0s = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     messages = []
     for integrate in (integrate_intervals_batch, interleaved_integrate):
@@ -457,6 +459,43 @@ def test_deferred_singular_stage_names_interval_row():
                       np.zeros((3, 1)), None, 1.0, 1, WorkCounters())
         assert err.value.batch_row == 1
         messages.append(str(err.value))
-    assert messages[0].endswith("batch row 4 of the stage stack, "
-                                "interval row 1")
-    assert messages[1].endswith("batch row 1")
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("in batch row 1")
+
+
+class OvershootAfterOneRowLeaves(LinearTestModel):
+    """x' = u (4 - 2x) with df/dx reported as 0 below x = 2 and 1 above.
+    An implicit Euler step of size 1 from x = 1 is then solved at once for
+    u = 0, while for u = 1 its Newton updates x <- 1 + 4 - 2x overshoot to
+    3 and on to -1, out of the domain; base's matrix I - df/dx at 3 has a
+    zero pivot."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def f_batch(self, x, u, d):
+        _check_domain(x)
+        return u * (4.0 - 2.0 * x)
+
+    def jacobians_batch(self, x):
+        return np.where(x > 2.0, 1.0, 0.0)[:, :, None], np.ones((1, 1))
+
+
+@pytest.mark.parametrize("mode", list(SensitivityMode), ids=lambda m: m.value)
+def test_row_error_after_a_row_leaves_names_full_batch_row(mode):
+    # row 0 has left the Newton loop when row 1 fails, so the model and
+    # linalg see row 1 as the first row of the rest; the error's row and
+    # its message both name row 1 of the full batch
+    base = mode is SensitivityMode.BASE_DIRECT
+    messages = []
+    for integrate in (integrate_intervals_batch, interleaved_integrate):
+        with pytest.raises(SingularMatrix if base else DomainError) as err:
+            integrate(OvershootAfterOneRowLeaves(), make_tableau("ESDIRK12"),
+                      NewtonSettings(), mode, np.ones((2, 1)),
+                      np.array([[0.0], [1.0]]), None, 1.0, 1,
+                      WorkCounters())
+        assert err.value.batch_row == 1
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == ("zero pivot in batch row 1" if base else
+                           "negative tank mass: [-1.] in batch row 1")

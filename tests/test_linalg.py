@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdirkopt.errors import DimensionError, SingularMatrix
+from esdirkopt.errors import ContractViolation, SingularMatrix
+from esdirkopt import linalg
 from esdirkopt.linalg import (lu_factorize, lu_factorize_batch, lu_solve,
                               lu_solve_batch)
 
@@ -40,13 +41,13 @@ def test_singular_raises():
 
 
 def test_nonsquare_raises():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation):
         lu_factorize(np.ones((2, 3)))
 
 
 def test_rhs_dimension_mismatch():
     f = lu_factorize(np.eye(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation):
         lu_solve(f, np.ones(4))
 
 
@@ -109,10 +110,10 @@ def test_batch_singular_names_row():
 
 
 def test_batch_shape_checks():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation):
         lu_factorize_batch(np.ones((4, 4)))
     f = lu_factorize_batch(np.tile(np.eye(3), (2, 1, 1)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation):
         lu_solve_batch(f, np.ones((2, 4)))
 
 
@@ -136,3 +137,16 @@ def test_first_of_two_singular_rows_named():
         with pytest.raises(SingularMatrix) as err:
             lu_factorize_batch(a)
         assert err.value.batch_row == 1
+
+
+def test_openblas_paths_are_whole_sixth_fields():
+    # a path may hold spaces, and a replaced file keeps its loaded name
+    maps = (
+        "7f00-7f10 r-xp 00000000 08:01 12    /opt/my env/libopenblas.so.0\n"
+        "7f10-7f20 r--p 00010000 08:01 12    /opt/my env/libopenblas.so.0\n"
+        "7f20-7f30 r-xp 00000000 08:01 34    /x/libscipy_openblas64_.so"
+        " (deleted)\n"
+        "7f30-7f40 rw-p 00000000 00:00 0 \n"
+        "7f40-7f50 r-xp 00000000 08:01 56    /usr/lib/libm.so.6\n")
+    assert linalg._openblas_paths(maps) == [
+        "/opt/my env/libopenblas.so.0", "/x/libscipy_openblas64_.so"]

@@ -7,9 +7,10 @@ commit and the change, each cloned into its own directory). For every
 workload, each of the ten pairs i runs
 `perfbench/run.py --seed i+1 --seconds 35 --trace 0` once in each
 checkout, the base first in even pairs and the change first in odd ones.
-The file records every run, and per workload and metric each side's
-median and quartiles, the number of pairs the change won and the bound
-from BENCHMARK.json. It also names, per workload, the seeds whose run
+The file records each side's commit and line count of src/**/*.py,
+every run, and per workload and metric each side's median and
+quartiles, the number of pairs the change won and the bound from
+BENCHMARK.json. It also names, per workload, the seeds whose run
 printed `correct: false` on each side and the seeds whose work digest
 differs between the sides. One traced run per side and workload (seed 1)
 gives the per-layer metrics. The sweep, `run_sweep(RunConfig())`, and the
@@ -66,9 +67,13 @@ def git(checkout, *args):
 
 
 def revision(checkout):
+    """The checkout's commit, whether tracked files differ from it, and
+    the number of lines of its package, src/**/*.py."""
     return {"commit": git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(git(checkout, "status", "--porcelain",
-                              "--untracked-files=no"))}
+                              "--untracked-files=no")),
+            "src_lines": sum(len(path.read_text().splitlines()) for path
+                             in Path(checkout).glob("src/**/*.py"))}
 
 
 def perfbench(checkout, workload, seed, trace):
