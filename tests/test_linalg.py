@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdirkopt.errors import ContractViolation, SingularMatrix
 from esdirkopt import linalg
+from esdirkopt.errors import ContractViolation, SingularMatrix
 from esdirkopt.linalg import (lu_factorize, lu_factorize_batch, lu_solve,
                               lu_solve_batch)
 
