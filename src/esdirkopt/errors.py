@@ -5,11 +5,19 @@ import numbers
 
 
 class BatchRowError(Exception):
-    """A failure in one row of a batch; the message reads ``batch_row``."""
+    """A failure in one row of a batch, stored once as args[1]; ``str``
+    and ``repr`` name it, and assigning ``batch_row`` renumbers it."""
 
     def __init__(self, detail, batch_row):
         super().__init__(detail, batch_row)
-        self.batch_row = batch_row
+
+    @property
+    def batch_row(self):
+        return self.args[1]
+
+    @batch_row.setter
+    def batch_row(self, row):
+        self.args = (self.args[0], row)
 
     def __str__(self):
         return f"{self.args[0]} in batch row {self.batch_row}"

@@ -10,13 +10,15 @@ Jacobian and factorization at every Newton iterate, every other mode one
 factorization of M_k = I - h*gamma*df/dx(x_k) per step.
 
 An interval runs in two passes: the state pass (``esdirk_step``) records
-each step, and the sensitivity pass replays it (see ``sensitivity``),
-bit for bit as if each stage were differentiated as it is solved. Work
-counters count, row by row, the model evaluations and factorizations
-each mode needs (the README's "Counted work" table) where that
-interleaved algorithm does them, so a failed integration counts the
-sensitivity work it had scheduled. Direct's Jacobian at the last stage
-also computes df/dx, which no later stage reads; only its df/du counts.
+each stage's IND rounds, and the sensitivity pass replays them, bit for
+bit as if each stage were differentiated as it is solved. The modes are
+one IND recursion that differs only in the points, the matrix and the
+number of rounds (see ``sensitivity``). Work counters count, row by row,
+the model evaluations and factorizations each mode needs (the README's
+"Counted work" table) where that interleaved algorithm does them, so a
+failed integration counts the sensitivity work it had scheduled.
+Direct's Jacobian at the last stage also computes df/dx, which no later
+stage reads; only its df/du counts.
 """
 
 import enum
@@ -28,6 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import (ContractViolation, DomainError, NewtonDivergence,
                      SingularMatrix, check_integer, check_positive)
+# ``direct_propagate`` is unused here; the benchmark's tracer patches it
 from .sensitivity import (SensitivityMode, SensitivityPair, direct_propagate,
                           iterated_propagate)
 from .tableau import predict_stages
@@ -143,9 +146,10 @@ def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
                           step_sens=[sens[0] for sens in res.step_sens])
 
 
-#: a state pass step: x_k, the converged stages, (df/dx, df/du) at x_k and
-#: M_k's factors (None for base), iterated's rounds (rows, iterates, factors)
-StepRecord = namedtuple("StepRecord", "x_k stages jacobians factors rounds")
+#: a state pass step: x_k, the converged stages, (df/dx, df/du) at x_k (None
+#: for base) and per stage its IND rounds (rows, points, factors): iterated's
+#: Newton rounds, else one at the converged stage with M_k's factors or None
+StepRecord = namedtuple("StepRecord", "x_k stages jacobians rounds")
 
 
 def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
@@ -244,6 +248,7 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
         stages.append(x_it)
         f_vals.append(f_conv)
         if not iterated:
+            rounds[-1].append((slice(None), x_it, factors))
             # the converged stage's Jacobians (and base's factors) that the
             # sensitivities take; direct counts df/dx where later stages
             # use it
@@ -253,36 +258,33 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
             if not reuse:
                 counters.lu_factorizations += nb
 
-    return StepRecord(x_k, stages, jacobians, factors, rounds)
+    return StepRecord(x_k, stages, jacobians, rounds)
 
 
 def _sensitivity_pass(model, tab, mode, steps, h):
     """The packed sensitivities after each step, replayed from the state
     pass's records ``steps``.
 
-    One model call takes the Jacobians at each recorded iterate for
-    iterated, at each converged stage for direct, and at each x_k and
-    converged stage for base, whose stage matrices one call factorizes.
-    A singular one raises SingularMatrix whose batch_row is the interval.
+    Every stage starts from its predicted sensitivities (iterated) or from
+    zero (direct and base) and replays its recorded rounds. One model call
+    takes the Jacobians at every round's points and, for base, at each x_k;
+    one call factorizes base's stage matrices. A singular one raises
+    SingularMatrix whose batch_row is the interval.
     """
     s, hg, ha = tab.s, h * tab.gamma, h * tab.a
     nb, n_x = steps[0].x_k.shape
     iterated = mode is SensitivityMode.ITERATED
     base = mode is SensitivityMode.BASE_DIRECT
-    if iterated:
-        points = [x for st in steps for stage in st.rounds
-                  for _, x, _ in stage]
-    else:
-        points = [x for st in steps for x in st.stages]
-        n_stage_rows = len(points) * nb
-        if base:
-            points += [st.x_k for st in steps]
+    points = [x for st in steps for stage in st.rounds for _, x, _ in stage]
+    n_round_rows = sum(map(len, points))
+    if base:
+        points += [st.x_k for st in steps]
     jx, ju = model.jacobians_batch(np.concatenate(points))
     ju = np.broadcast_to(ju, jx.shape[:1] + ju.shape[-2:])
     if base:
         try:
             stage_factors = linalg.lu_factorize_batch(
-                np.eye(n_x) - hg * jx[:n_stage_rows])
+                np.eye(n_x) - hg * jx[:n_round_rows])
         except SingularMatrix as exc:   # stack row -> the interval's row
             exc.batch_row %= nb
             raise
@@ -290,15 +292,12 @@ def _sensitivity_pass(model, tab, mode, steps, h):
     sens = np.tile(np.eye(n_x, n_x + model.n_u), (nb, 1, 1))
     step_sens, prev, at = [], None, 0    # at: the next unread row of jx
     for k, st in enumerate(steps):
-        if base:
-            x_rows = slice(n_stage_rows + k * nb, n_stage_rows + (k + 1) * nb)
-            jx_i, ju_i = jx[x_rows], ju[x_rows]
-        else:
-            jx_i, ju_i = st.jacobians
+        x_at = n_round_rows + k * nb        # base: x_k's rows of jx
+        jx_i, ju_i = st.jacobians or (jx[x_at:x_at + nb], ju[x_at:x_at + nb])
         sens_k = sens_i = sens
-        if iterated:
-            sens_predictions = ([sens_k] * (s - 1) if prev is None
-                                else predict_stages(tab.svp, *prev))
+        starts = [sens if iterated else np.zeros_like(sens)] * (s - 1)
+        if iterated and prev is not None:
+            starts = predict_stages(tab.svp, *prev)
         stage_sens = []
         d_vals = []              # packed dF_j = df/dx S_j + [0 | df/du]
         for idx in range(s - 1):
@@ -307,23 +306,19 @@ def _sensitivity_pass(model, tab, mode, steps, h):
             dpsi_i = sens_k + ha[idx + 1, 0] * d_vals[0]
             for j in range(1, idx + 1):
                 dpsi_i += ha[idx + 1, j] * d_vals[j]
-            if iterated:
-                # each row's converged-stage Jacobians: its last round's
-                sens_i = sens_predictions[idx].copy()
-                jx_i = np.empty((nb,) + jx.shape[1:])
-                ju_i = np.empty((nb,) + ju.shape[1:])
-                for rows, x, fac in st.rounds[idx]:
-                    jx_r, ju_r = jx[at:at + len(x)], ju[at:at + len(x)]
-                    at += len(x)
-                    sens_i[rows] = iterated_propagate(
-                        sens_i[rows], jx_r, ju_r, dpsi_i[rows], fac, hg)
-                    jx_i[rows] = jx_r
-                    ju_i[rows] = ju_r
-            else:
-                jx_i, ju_i = jx[at:at + nb], ju[at:at + nb]
-                fac = stage_factors[at:at + nb] if base else st.factors
-                at += nb
-                sens_i = direct_propagate(dpsi_i, ju_i, fac, hg)
+            # each row's converged-stage Jacobians: its last round's
+            sens_i = starts[idx].copy()
+            jx_i = np.empty((nb,) + jx.shape[1:])
+            ju_i = np.empty((nb,) + ju.shape[1:])
+            for rows, x, fac in st.rounds[idx]:
+                jx_r, ju_r = jx[at:at + len(x)], ju[at:at + len(x)]
+                if fac is None:                  # base: the stage's own
+                    fac = stage_factors[at:at + len(x)]
+                at += len(x)
+                sens_i[rows] = iterated_propagate(
+                    sens_i[rows], jx_r, ju_r, dpsi_i[rows], fac, hg)
+                jx_i[rows] = jx_r
+                ju_i[rows] = ju_r
             stage_sens.append(sens_i)
         prev = (sens_k, stage_sens)
         sens = stage_sens[-1]

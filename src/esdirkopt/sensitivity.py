@@ -4,16 +4,18 @@ Sensitivities are packed per batch row as one (n_x, n_x + n_u) matrix
 [d/dx0 | d/du]; ``SensitivityPair`` views its two column ranges. The
 integrator's sensitivity pass replays the record of its state pass step
 by step and stage by stage, from dpsi_i = S_k + sum_j h*a_ij*dF_j with
-dF_j = df/dx_j S_j + [0 | df/du_j] formed once per stage:
+dF_j = df/dx_j S_j + [0 | df/du_j] formed once per stage.
 
-* iterated: every recorded Newton round of the state makes the same
-  update on the stage sensitivities of the same rows, with the same
-  iteration matrix factorization and the Jacobians at that round's
-  iterates (``iterated_propagate``).
-* direct: treats a converged stage equation as solved exactly and reads
-  the stage sensitivities off the (approximate) iteration matrix of the
-  step (``direct_propagate``); cheap but biased for large step sizes.
-  With BASE_DIRECT (base-direct) the solve uses the exact stage matrix
+The three modes are one IND recursion: each recorded round makes the
+update ``iterated_propagate`` on the stage sensitivities of its rows,
+with its factors and the Jacobians at its points. The modes differ only
+in the points, the matrix and the number of rounds:
+
+* iterated: the state's Newton rounds at its iterates, with the step's
+  iteration matrix, from the predicted stage sensitivities.
+* direct: one round from zero at the converged stage with the step's
+  (approximate) iteration matrix; cheap but biased for large step sizes.
+* base (BASE_DIRECT): that round with the exact stage matrix
   I - h*gamma*df/dx(X_i), factorized fresh at every converged stage.
 """
 
@@ -41,12 +43,12 @@ class SensitivityPair:
 
 
 def iterated_propagate(sens, jx, ju, dpsi, fac, hg):
-    """One Newton round on the stage sensitivities of the updated rows.
+    """One IND round on the stage sensitivities of the round's rows.
 
     ``sens`` and ``dpsi`` hold those rows' stage sensitivities and
-    [dpsi_i/dx0 | dpsi_i/du], ``jx``/``ju`` the round's Jacobians at the
-    state iterates and ``fac`` the factors the state update used. Returns
-    the updated stage sensitivities.
+    [dpsi_i/dx0 | dpsi_i/du], ``jx``/``ju`` the Jacobians at the round's
+    points and ``fac`` its factors. Returns the updated stage
+    sensitivities.
     """
     n_x = jx.shape[1]
     dres = sens - hg * (jx @ sens) - dpsi
@@ -55,10 +57,9 @@ def iterated_propagate(sens, jx, ju, dpsi, fac, hg):
 
 
 def direct_propagate(dpsi, ju, fac, hg):
-    """Stage sensitivities of one converged stage: solves the differentiated
-    stage equation with the factors ``fac`` (the step's iteration matrix
-    for DIRECT, the fresh stage matrix for BASE_DIRECT) and df/du ``ju``
-    at the converged stage."""
+    """The closed form of one round from zero: iterated_propagate(0, jx,
+    ju, dpsi, fac, hg) bit for bit, for any jx. It solves the
+    differentiated stage equation once with the factors ``fac``."""
     rhs = dpsi.copy()
     rhs[:, :, dpsi.shape[1]:] += hg * ju
     return linalg.lu_solve_batch(fac, rhs)

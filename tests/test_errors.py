@@ -14,6 +14,9 @@ def test_row_error_message_follows_its_row(cls):
     exc = cls("zero pivot", 0)
     exc.batch_row = 3                 # renumbered, as the integrator does
     assert str(exc) == "zero pivot in batch row 3"
+    assert repr(exc) == f"{cls.__name__}('zero pivot', 3)"
+    back = pickle.loads(pickle.dumps(exc))
+    assert (repr(back), str(back), back.batch_row) == (repr(exc), str(exc), 3)
     err = EvaluationError(exc)
     assert err.interval == 3
     assert str(err) == ("evaluation failed on interval 3: zero pivot in "

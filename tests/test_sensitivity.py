@@ -4,7 +4,9 @@ import pytest
 from esdirkopt.integrator import (NewtonSettings, WorkCounters,
                                   integrate_interval, strategy_of)
 from esdirkopt.model import QuadrupleTank
-from esdirkopt.sensitivity import SensitivityMode, fd_sensitivity_oracle
+from esdirkopt.linalg import lu_factorize_batch
+from esdirkopt.sensitivity import (SensitivityMode, direct_propagate,
+                                   fd_sensitivity_oracle, iterated_propagate)
 from esdirkopt.tableau import make_tableau
 from references import LinearTestModel
 
@@ -106,3 +108,25 @@ def test_fd_oracle_self_consistency():
                                rel_step=3e-6)
     assert np.allclose(o1.wrt_x0, o2.wrt_x0, rtol=1e-5, atol=1e-10)
     assert np.allclose(o1.wrt_u, o2.wrt_u, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("shared_ju", [True, False],
+                         ids=["shared_ju", "per_row_ju"])
+def test_one_round_from_zero_is_direct_propagate(shared_ju):
+    # direct and base replay one IND round from zero at the converged
+    # stage; the sensitivity pass rests on it being direct's closed form
+    # bit for bit, whatever df/dx the round reads
+    rng = np.random.default_rng(26)
+    n_x, n_u = 4, 2
+    for _ in range(200):
+        nb = int(rng.integers(1, 50))
+        hg = float(rng.uniform(0.01, 10.0))
+        jx = rng.normal(size=(nb, n_x, n_x))
+        fac = lu_factorize_batch(np.eye(n_x) - hg * rng.normal(
+            size=(nb, n_x, n_x)) / n_x)
+        ju = rng.normal(size=(n_x, n_u) if shared_ju else (nb, n_x, n_u))
+        dpsi = (rng.normal(size=(nb, n_x, n_x + n_u))
+                * 10.0 ** rng.uniform(-8, 8))
+        want = direct_propagate(dpsi, ju, fac, hg)
+        got = iterated_propagate(np.zeros_like(dpsi), jx, ju, dpsi, fac, hg)
+        assert np.array_equal(got, want)
