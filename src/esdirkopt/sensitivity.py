@@ -58,7 +58,7 @@ def iterated_propagate(sens, jx, ju, dpsi, fac, hg):
 
 def direct_propagate(dpsi, ju, fac, hg):
     """The closed form of one round from zero: iterated_propagate(0, jx,
-    ju, dpsi, fac, hg) bit for bit, for any jx. It solves the
+    ju, dpsi, fac, hg) bit for bit, for any finite jx. It solves the
     differentiated stage equation once with the factors ``fac``."""
     rhs = dpsi.copy()
     rhs[:, :, dpsi.shape[1]:] += hg * ju
