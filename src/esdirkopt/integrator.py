@@ -13,12 +13,12 @@ An interval runs in two passes: the state pass (``esdirk_step``) records
 each stage's IND rounds, and the sensitivity pass replays them, bit for
 bit as if each stage were differentiated as it is solved. The modes are
 one IND recursion that differs only in the points, the matrix and the
-number of rounds (see ``sensitivity``). Work counters count, row by row,
-the model evaluations and factorizations each mode needs (the README's
-"Counted work" table) where that interleaved algorithm does them, so a
-failed integration counts the sensitivity work it had scheduled.
-Direct's Jacobian at the last stage also computes df/dx, which no later
-stage reads; only its df/du counts.
+number of rounds (see ``sensitivity``). Each pass adds to the work
+counters, row by row, the model evaluations and factorizations it does
+(the README's "Counted work" table) right after doing them, so a failed
+integration counts only the work done. Direct's Jacobian at the last
+stage also computes df/dx, which no later stage reads; only its df/du
+counts.
 """
 
 import enum
@@ -124,8 +124,8 @@ def integrate_intervals_batch(model, tab, settings, mode, x_0, u, d, dt,
                                  steps[-1] if steps else None, counters))
         x = steps[-1].stages[-1]
     traj = np.stack([steps[0].x_k] + [st.stages[-1] for st in steps], axis=1)
-    return IntervalResult(x, traj,
-                          _sensitivity_pass(model, tab, mode, steps, h))
+    return IntervalResult(x, traj, _sensitivity_pass(model, tab, mode, steps,
+                                                     h, counters))
 
 
 def integrate_interval(model, tab, strategy, settings, mode, x_0, u, d,
@@ -162,7 +162,9 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
     scaled residual is below tau, after at least one update however good
     its predictor. A round in which every row still iterates indexes the
     arrays through views; only after the first row leaves does it gather
-    the rest. The counters include the sensitivity work to come.
+    the rest. The counters cover the state pass only: f, the Newton
+    iterations and the Jacobians and factorizations its iteration
+    matrices take.
 
     Returns the StepRecord; its last stage is the step result by stiff
     accuracy. Raises a row error whose ``batch_row``, which its message
@@ -179,15 +181,13 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
     if reuse:
         jacobians = model.jacobians_batch(x_k)
         counters.jac_x_evals += nb
+        counters.jac_u_evals += nb
         factors = linalg.lu_factorize_batch(eye - hg * jacobians[0])
         counters.lu_factorizations += nb
     predictions = ([x_k] * (s - 1) if prev is None
                    else predict_stages(tab.svp, prev.x_k, prev.stages))
     f_vals = [model.f_batch(x_k, u, d)]
-    if not reuse:                # x_k's Jacobian waits for the sensitivities
-        counters.jac_x_evals += nb
     counters.f_evals += nb
-    counters.jac_u_evals += nb
 
     stages, rounds = [], []
     ha = h * tab.a
@@ -231,8 +231,6 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
                 fac = factors[rows]
                 if iterated:
                     rounds[-1].append((rows, x_it[rows].copy(), fac))
-                    counters.jac_x_evals += active.size
-                    counters.jac_u_evals += active.size
             else:
                 try:
                     jx_it, _ = model.jacobians_batch(x_it[rows])
@@ -249,19 +247,11 @@ def esdirk_step(model, tab, settings, mode, x_k, u, d, h, prev, counters):
         f_vals.append(f_conv)
         if not iterated:
             rounds[-1].append((slice(None), x_it, factors))
-            # the converged stage's Jacobians (and base's factors) that the
-            # sensitivities take; direct counts df/dx where later stages
-            # use it
-            if not reuse or idx < s - 2:
-                counters.jac_x_evals += nb
-            counters.jac_u_evals += nb
-            if not reuse:
-                counters.lu_factorizations += nb
 
     return StepRecord(x_k, stages, jacobians, rounds)
 
 
-def _sensitivity_pass(model, tab, mode, steps, h):
+def _sensitivity_pass(model, tab, mode, steps, h, counters):
     """The packed sensitivities after each step, replayed from the state
     pass's records ``steps``.
 
@@ -269,17 +259,22 @@ def _sensitivity_pass(model, tab, mode, steps, h):
     zero (direct and base) and replays its recorded rounds. One model call
     takes the Jacobians at every round's points and, for base, at each x_k;
     one call factorizes base's stage matrices. A singular one raises
-    SingularMatrix whose batch_row is the interval.
+    SingularMatrix whose batch_row is the interval. The rows of each call
+    go to the counters once it returns, except direct's df/dx at the last
+    stage, which no stage reads.
     """
     s, hg, ha = tab.s, h * tab.gamma, h * tab.a
     nb, n_x = steps[0].x_k.shape
     iterated = mode is SensitivityMode.ITERATED
+    direct = mode is SensitivityMode.DIRECT
     base = mode is SensitivityMode.BASE_DIRECT
     points = [x for st in steps for stage in st.rounds for _, x, _ in stage]
     n_round_rows = sum(map(len, points))
     if base:
         points += [st.x_k for st in steps]
     jx, ju = model.jacobians_batch(np.concatenate(points))
+    counters.jac_x_evals += len(jx) - (nb * len(steps) if direct else 0)
+    counters.jac_u_evals += len(jx)
     ju = np.broadcast_to(ju, jx.shape[:1] + ju.shape[-2:])
     if base:
         try:
@@ -288,6 +283,7 @@ def _sensitivity_pass(model, tab, mode, steps, h):
         except SingularMatrix as exc:   # stack row -> the interval's row
             exc.batch_row %= nb
             raise
+        counters.lu_factorizations += n_round_rows
 
     sens = np.tile(np.eye(n_x, n_x + model.n_u), (nb, 1, 1))
     step_sens, prev, at = [], None, 0    # at: the next unread row of jx

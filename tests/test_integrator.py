@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from esdirkopt.errors import (ConfigError, ContractViolation, DomainError,
-                              NewtonDivergence, SingularMatrix)
+from esdirkopt import linalg
+from esdirkopt.errors import (BatchRowError, ConfigError, ContractViolation,
+                              DomainError, NewtonDivergence, SingularMatrix)
 from esdirkopt.integrator import (NewtonSettings, NewtonStrategy,
                                   WorkCounters, esdirk_step,
                                   integrate_interval,
@@ -32,8 +35,9 @@ def step_qts(method, mode, n_steps=10):
     """The state pass of run_qts stepped by hand with esdirk_step on a
     batch of one row.
 
-    Checks the final state and the counters against run_qts, and returns
-    the counters and the Newton iteration count of every step.
+    Checks the final state, f_evals and the Newton iterations against
+    run_qts, and returns run_qts's counters and the Newton iteration
+    count of every step.
     """
     model, tab = QuadrupleTank(), make_tableau(method)
     counters = WorkCounters()
@@ -47,8 +51,9 @@ def step_qts(method, mode, n_steps=10):
         counts.append(counters.newton_iterations - before)
     reference, work = run_qts(method, mode, n_steps)
     assert np.array_equal(x[0], reference.x_final)
-    assert counters.as_dict() == work.as_dict()
-    return counters, np.array(counts)
+    assert counters.f_evals == work.f_evals
+    assert counters.newton_iterations == work.newton_iterations
+    return work, np.array(counts)
 
 
 def test_esdirk12_step_is_implicit_euler():
@@ -325,7 +330,7 @@ def test_state_pass_independent_of_sensitivity_mode(method, settings):
 
 class CountingTank(QuadrupleTank):
     """QuadrupleTank that counts the rows it evaluates f and the Jacobians
-    at, and its Jacobian calls."""
+    at, and its Jacobian calls, of the calls that return."""
 
     def __init__(self):
         super().__init__()
@@ -334,42 +339,65 @@ class CountingTank(QuadrupleTank):
         self.jacobian_calls = 0
 
     def f_batch(self, x, u, d):
+        f = super().f_batch(x, u, d)
         self.f_rows += x.shape[0]
-        return super().f_batch(x, u, d)
+        return f
 
     def jacobians_batch(self, x):
+        jacobians = super().jacobians_batch(x)
         self.jacobian_rows += x.shape[0]
         self.jacobian_calls += 1
-        return super().jacobians_batch(x)
-
-
-@pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
-@pytest.mark.parametrize("mode", list(SensitivityMode))
-def test_model_calls_match_counters(method, mode):
-    # every row a model call evaluates is counted work, and the counted
-    # work is evaluated; the sensitivity pass batches its Jacobians, so
-    # iterated and direct call the model once per step for the iteration
-    # matrix and once for the sensitivities
-    model = CountingTank()
-    counters = WorkCounters()
-    n_steps = 10
-    integrate_interval(model, make_tableau(method), strategy_of(mode),
-                       NewtonSettings(), mode, X0, U0, D0, 0.0, 10.0, n_steps,
-                       counters)
-    assert model.f_rows == counters.f_evals
-    assert model.jacobian_rows == max(counters.jac_x_evals,
-                                      counters.jac_u_evals)
-    if mode is not SensitivityMode.BASE_DIRECT:
-        assert model.jacobian_calls == n_steps + 1
-
-
-LOOSE = NewtonSettings(tau=0.5, abs=1e-4, rel=1e-4)
+        return jacobians
 
 
 def batch_inputs(nb, seed=7):
     rng = np.random.default_rng(seed)
     return (X0 * (1.0 + 0.2 * rng.random((nb, 4))),
             U0 + 40.0 * rng.standard_normal((nb, 2)))
+
+
+@pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
+@pytest.mark.parametrize("mode,failure", [
+    pytest.param(mode, failure, id="-".join(filter(None, (str(mode), failure))))
+    for mode in SensitivityMode
+    for failure in (None, "negative_mass", "divergence")])
+def test_model_calls_match_counters(method, mode, failure, monkeypatch):
+    # every row a model call evaluates or a factorization factorizes is
+    # counted work, and the counted work is done, also when the
+    # integration fails; the sensitivity pass batches its Jacobians, so
+    # iterated and direct call the model once per step for the iteration
+    # matrix and once for the sensitivities
+    factorized = []
+    lu_factorize_batch = linalg.lu_factorize_batch
+
+    def counting_factorize(a):
+        factors = lu_factorize_batch(a)
+        factorized.append(len(a))
+        return factors
+
+    monkeypatch.setattr(linalg, "lu_factorize_batch", counting_factorize)
+    x0s, us = batch_inputs(7)
+    settings = NewtonSettings()
+    if failure == "negative_mass":
+        x0s[4, 2] = -1.0
+    elif failure == "divergence":
+        settings = NewtonSettings(max_iterations=1)
+    model = CountingTank()
+    counters = WorkCounters()
+    n_steps = 10
+    with (pytest.raises(BatchRowError) if failure
+          else contextlib.nullcontext()):
+        integrate_intervals_batch(model, make_tableau(method), settings, mode,
+                                  x0s, us, D0, 10.0, n_steps, counters)
+    assert model.f_rows == counters.f_evals
+    assert model.jacobian_rows == max(counters.jac_x_evals,
+                                      counters.jac_u_evals)
+    assert sum(factorized) == counters.lu_factorizations
+    if failure is None and mode is not SensitivityMode.BASE_DIRECT:
+        assert model.jacobian_calls == n_steps + 1
+
+
+LOOSE = NewtonSettings(tau=0.5, abs=1e-4, rel=1e-4)
 
 
 @pytest.mark.parametrize("method", ["ESDIRK12", "ESDIRK23", "ESDIRK34"])
@@ -401,8 +429,10 @@ def test_two_passes_match_interleaved_step(method, mode, nb, n_steps,
 @pytest.mark.parametrize("mode", list(SensitivityMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("failure", ["negative_mass", "divergence"])
 def test_two_passes_fail_like_interleaved_step(mode, failure):
-    # same exception, same row and the same counters at the raise: the
-    # state pass counts at the interleaved algorithm's points
+    # same exception, same row, and the same f evaluations and Newton
+    # iterations at the raise; the interleaved algorithm also counts the
+    # sensitivity work of the stages it solved, which the two passes
+    # never reach (test_model_calls_match_counters pins the rest)
     x0s, us = batch_inputs(7)
     settings = NewtonSettings()
     if failure == "negative_mass":
@@ -418,11 +448,12 @@ def test_two_passes_fail_like_interleaved_step(mode, failure):
         with pytest.raises(expected) as err:
             integrate(QuadrupleTank(), make_tableau("ESDIRK34"), settings,
                       mode, x0s, us, D0, 10.0, 3, counters)
-        raised.append((err.value.batch_row, str(err.value), counters))
+        raised.append((type(err.value), err.value.batch_row, str(err.value),
+                       counters.f_evals, counters.newton_iterations))
     assert raised[0] == raised[1]
-    assert raised[0][1].endswith(f"in batch row {raised[0][0]}")
+    assert raised[0][2].endswith(f"in batch row {raised[0][1]}")
     if failure == "negative_mass":
-        assert raised[0][0] == 4
+        assert raised[0][1] == 4
 
 
 class SingularAtStage(LinearTestModel):
